@@ -19,7 +19,7 @@ use uarch_runner::{
     context_id, CachedOracle, LatticeGraphOracle, ParallelMultiSimOracle, Runner, SimCache,
 };
 use uarch_sim::{Idealization, SimResult, Simulator};
-use uarch_trace::{EventClass, MachineConfig, Trace};
+use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
 use uarch_workloads::{generate, BenchProfile, Workload};
 
 /// Default dynamic-instruction budget per benchmark (override with the
@@ -108,10 +108,7 @@ pub fn graph_oracle<'g>(
     config: &MachineConfig,
 ) -> CachedOracle<LatticeGraphOracle<'g>> {
     let ctx = context_id(config, &w.trace, &w.warm_data, &w.warm_code).tagged("graph");
-    let inner = LatticeGraphOracle::new(graph)
-        .with_threads(harness_runner().threads())
-        .with_context(ctx);
-    CachedOracle::new(inner, ctx, shared_cache().clone())
+    harness_runner().graph_oracle_for(graph, ctx, graph.evaluate(EventSet::EMPTY))
 }
 
 /// Graph-based Table-4-style breakdown for one generated workload.
@@ -122,7 +119,7 @@ pub fn workload_breakdown(w: &Workload, config: &MachineConfig, focus: EventClas
 }
 
 /// Convenience: percent cost of one set via any oracle.
-pub fn percent(oracle: &mut dyn CostOracle, set: uarch_trace::EventSet) -> f64 {
+pub fn percent(oracle: &mut dyn CostOracle, set: EventSet) -> f64 {
     oracle.cost_percent(set)
 }
 

@@ -18,7 +18,7 @@
 //!   per-job provenance/wall/hash/stall rows) appended to
 //!   `ICOST_LEDGER_FILE` through a buffered, lock-protected writer, so
 //!   runs are diffable across processes and PRs (`icost-obs diff`).
-//! * [`CounterSampler`] — a sampler thread that snapshots metrics
+//! * [`CounterSampler`] — a process-wide sampler that snapshots metrics
 //!   registries into Chrome counter (`ph:"C"`) events, rendering
 //!   `sim.stall.*`, cache hit rates, and pool occupancy as Perfetto
 //!   time-series tracks next to the spans.

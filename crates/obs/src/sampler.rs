@@ -1,19 +1,21 @@
-//! The counter-track sampler: a background thread that periodically
-//! snapshots one or more metrics [`Registry`]s into Chrome trace-event
-//! counter (`ph:"C"`) samples, so `sim.stall.*` accumulation, cache
-//! hit rates, and pool occupancy render as time-series tracks in
-//! Perfetto alongside the span tree.
+//! The counter-track sampler: periodically snapshots one or more
+//! metrics [`Registry`]s into Chrome trace-event counter (`ph:"C"`)
+//! samples, so `sim.stall.*` accumulation, cache hit rates, and pool
+//! occupancy render as time-series tracks in Perfetto alongside the
+//! span tree.
 //!
-//! The sampler is a guard: [`CounterSampler::start`] spawns the thread,
-//! dropping the guard stops it and takes one final sample, so even a
-//! run shorter than the interval gets every metric's closing value on
-//! its track. Sampling is snapshot-based (the registries' own atomic
-//! reads), so it never perturbs the instrumented code beyond the
-//! snapshot locks.
+//! The sampler is a guard: [`CounterSampler::start`] subscribes the
+//! registries to one process-wide sampling thread (spawned on first
+//! use), and dropping the guard unsubscribes them and takes one final
+//! sample in line, so even a run shorter than the interval gets every
+//! metric's closing value on its track. A run is first sampled one
+//! interval after it starts, so a short run costs one mutex round trip
+//! and its closing sample — no thread spawn or join per run. Sampling
+//! is snapshot-based (the registries' own atomic reads), so it never
+//! perturbs the instrumented code beyond the snapshot locks.
 
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use crate::registry::{lock_unpoisoned, Registry, SnapshotValue};
 use crate::span::Tracer;
@@ -25,22 +27,71 @@ pub const COUNTER_INTERVAL_ENV: &str = "ICOST_COUNTER_INTERVAL_US";
 /// Default sampling interval when [`COUNTER_INTERVAL_ENV`] is unset.
 pub const DEFAULT_COUNTER_INTERVAL: Duration = Duration::from_micros(2_500);
 
-/// Stop flag shared with the sampler thread. A condvar (not a plain
-/// sleep) so dropping the guard interrupts a pending interval instead
-/// of waiting it out — short runs must not pay a whole interval on
-/// teardown.
+/// One subscribed run: where to sample, what, and when next.
+#[derive(Debug)]
+struct Subscription {
+    id: u64,
+    tracer: Tracer,
+    registries: Vec<Registry>,
+    interval: Duration,
+    due: Instant,
+}
+
+/// The subscriptions the process-wide sampling thread serves.
 #[derive(Debug, Default)]
-struct StopSignal {
-    stopped: Mutex<bool>,
+struct Board {
+    subs: Vec<Subscription>,
+    next_id: u64,
+    spawned: bool,
+    /// The thread is (about to be) parked with nothing due, so a new
+    /// subscription must wake it.
+    idle: bool,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    board: Mutex<Board>,
     cv: Condvar,
 }
 
-/// A running counter-track sampler; dropping it stops the thread after
-/// one final sample.
+fn shared() -> &'static Shared {
+    static SHARED: OnceLock<Shared> = OnceLock::new();
+    SHARED.get_or_init(Shared::default)
+}
+
+/// The sampling thread: sample every due subscription, then sleep
+/// until the earliest next due time (or a new subscription). Samples
+/// are taken under the board lock, so an unsubscribing guard never
+/// races a stale sample past its closing one.
+fn sampling_loop(shared: &'static Shared) {
+    let mut board = lock_unpoisoned(&shared.board);
+    loop {
+        let now = Instant::now();
+        for sub in board.subs.iter_mut().filter(|s| s.due <= now) {
+            CounterSampler::sample(&sub.tracer, &sub.registries);
+            sub.due = now + sub.interval;
+        }
+        let next = board.subs.iter().map(|s| s.due).min();
+        board.idle = next.is_none();
+        // Poison-recovering waits: a client thread that panicked while
+        // holding the board must not wedge sampling (the board is
+        // consistent between statements).
+        board = match next {
+            None => shared.cv.wait(board).unwrap_or_else(|e| e.into_inner()),
+            Some(due) => {
+                let timeout = due.saturating_duration_since(Instant::now());
+                let waited = shared.cv.wait_timeout(board, timeout);
+                waited.unwrap_or_else(|e| e.into_inner()).0
+            }
+        };
+    }
+}
+
+/// A live subscription to the process-wide counter sampler; dropping
+/// it unsubscribes and records one final sample.
 #[derive(Debug)]
 pub struct CounterSampler {
-    stop: Arc<StopSignal>,
-    handle: Option<JoinHandle<()>>,
+    id: u64,
 }
 
 impl CounterSampler {
@@ -55,36 +106,31 @@ impl CounterSampler {
             .unwrap_or(DEFAULT_COUNTER_INTERVAL)
     }
 
-    /// Start sampling every registry in `registries` into `tracer`
-    /// every `interval` until the returned guard drops.
+    /// Sample every registry in `registries` into `tracer` every
+    /// `interval` until the returned guard drops.
     pub fn start(tracer: Tracer, registries: Vec<Registry>, interval: Duration) -> CounterSampler {
-        let stop = Arc::new(StopSignal::default());
-        let thread_stop = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("icost-counter-sampler".into())
-            .spawn(move || {
-                loop {
-                    Self::sample(&tracer, &registries);
-                    // Poison-recovering locks: a client thread that
-                    // panicked mid-snapshot must not wedge the stop
-                    // path (the flag itself is always consistent).
-                    let guard = lock_unpoisoned(&thread_stop.stopped);
-                    let (guard, _) = thread_stop
-                        .cv
-                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if *guard {
-                        break;
-                    }
-                }
-                // Closing sample: the tracks end on the final values.
-                Self::sample(&tracer, &registries);
-            })
-            .expect("spawn counter-sampler thread");
-        CounterSampler {
-            stop,
-            handle: Some(handle),
+        let shared = shared();
+        let mut board = lock_unpoisoned(&shared.board);
+        let id = board.next_id;
+        board.next_id += 1;
+        board.subs.push(Subscription {
+            id,
+            tracer,
+            registries,
+            interval,
+            due: Instant::now() + interval,
+        });
+        if !board.spawned {
+            std::thread::Builder::new()
+                .name("icost-counter-sampler".into())
+                .spawn(move || sampling_loop(shared))
+                .expect("spawn counter-sampler thread");
+            board.spawned = true;
+        } else if board.idle {
+            board.idle = false;
+            shared.cv.notify_one();
         }
+        CounterSampler { id }
     }
 
     /// Record one sample of every metric in every registry.
@@ -123,10 +169,14 @@ impl CounterSampler {
 
 impl Drop for CounterSampler {
     fn drop(&mut self) {
-        *lock_unpoisoned(&self.stop.stopped) = true;
-        self.stop.cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let sub = {
+            let mut board = lock_unpoisoned(&shared().board);
+            let at = board.subs.iter().position(|s| s.id == self.id);
+            at.map(|i| board.subs.swap_remove(i))
+        };
+        // Closing sample: the tracks end on the final values.
+        if let Some(sub) = sub {
+            Self::sample(&sub.tracer, &sub.registries);
         }
     }
 }
@@ -171,5 +221,53 @@ mod tests {
         assert!(samples.iter().any(|e| e.name == "runner.inflight"));
         // The export with counter tracks is still a valid document.
         assert!(crate::json::parse(&tracer.export_json()).is_ok());
+    }
+
+    fn samples_of(tracer: &Tracer, name: &str) -> Vec<f64> {
+        tracer
+            .events()
+            .iter()
+            .filter(|e| e.phase == 'C' && e.name == name)
+            .filter_map(|e| e.value)
+            .collect()
+    }
+
+    #[test]
+    fn short_runs_get_exactly_one_closing_sample() {
+        let tracer = Tracer::enabled();
+        let registry = Registry::new();
+        let sims = registry.counter("runner.sims_run");
+        for _ in 0..3 {
+            let _sampler = CounterSampler::start(
+                tracer.clone(),
+                vec![registry.clone()],
+                Duration::from_secs(60),
+            );
+            sims.inc();
+        }
+        assert_eq!(samples_of(&tracer, "runner.sims_run"), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn long_runs_are_sampled_periodically() {
+        let tracer = Tracer::enabled();
+        let registry = Registry::new();
+        let sims = registry.counter("runner.sims_run");
+        {
+            let _sampler = CounterSampler::start(
+                tracer.clone(),
+                vec![registry.clone()],
+                Duration::from_millis(2),
+            );
+            sims.inc();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while samples_of(&tracer, "runner.sims_run").is_empty() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            sims.inc();
+        }
+        let samples = samples_of(&tracer, "runner.sims_run");
+        assert!(samples.len() >= 2, "periodic plus closing: {samples:?}");
+        assert_eq!(samples.last(), Some(&2.0), "closing sample is final");
     }
 }

@@ -33,6 +33,7 @@
 //!   was assembled from.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use icost::CostOracle;
 use uarch_graph::DepGraph;
@@ -322,6 +323,9 @@ pub struct Planner<'a> {
     graph: &'a DepGraph,
     sim_ctx: ContextId,
     graph_ctx: ContextId,
+    /// `graph.evaluate(∅)`, computed on the first graph rung unless the
+    /// caller supplied it ([`Planner::with_graph_baseline`]).
+    graph_baseline: OnceLock<u64>,
     calibrator: Calibrator,
     cfg: PlanConfig,
     registry: Registry,
@@ -342,6 +346,22 @@ impl<'a> Planner<'a> {
         graph: &'a DepGraph,
     ) -> Planner<'a> {
         let sim_ctx = context_id(config, trace, warm_data, warm_code);
+        Planner::for_context(runner, config, trace, warm_data, warm_code, graph, sim_ctx)
+    }
+
+    /// [`Planner::new`] for a context whose simulation fingerprint the
+    /// caller already holds (`sim_ctx == context_id(config, trace,
+    /// warm_data, warm_code)`): a server building one planner per batch
+    /// fingerprints its context once, not per batch.
+    pub fn for_context(
+        runner: &Runner,
+        config: &'a MachineConfig,
+        trace: &'a Trace,
+        warm_data: &'a [u64],
+        warm_code: &'a [u64],
+        graph: &'a DepGraph,
+        sim_ctx: ContextId,
+    ) -> Planner<'a> {
         let graph_ctx = sim_ctx.tagged("graph");
         runner.cache().pin(sim_ctx);
         runner.cache().pin(graph_ctx);
@@ -356,10 +376,18 @@ impl<'a> Planner<'a> {
             graph,
             sim_ctx,
             graph_ctx,
+            graph_baseline: OnceLock::new(),
             calibrator: Calibrator::new(),
             cfg: PlanConfig::default(),
             registry,
         }
+    }
+
+    /// Supply the graph's baseline `graph.evaluate(∅)` (e.g. memoized by
+    /// a long-lived server) so the graph rung skips its scalar sweep.
+    pub fn with_graph_baseline(self, baseline: u64) -> Planner<'a> {
+        let _ = self.graph_baseline.set(baseline);
+        self
     }
 
     /// Replace the confidence-model configuration.
@@ -414,9 +442,12 @@ impl<'a> Planner<'a> {
     }
 
     fn graph_oracle(&self, cache: SimCache) -> CachedOracle<LatticeGraphOracle<'a>> {
-        let inner = LatticeGraphOracle::new(self.graph)
-            .with_threads(self.runner.threads())
-            .with_context(self.graph_ctx);
+        let graph = self.graph;
+        let baseline = *self
+            .graph_baseline
+            .get_or_init(|| graph.evaluate(EventSet::EMPTY));
+        let inner = LatticeGraphOracle::for_context(graph, self.graph_ctx, baseline)
+            .with_threads(self.runner.threads());
         CachedOracle::new(inner, self.graph_ctx, cache)
     }
 
@@ -474,9 +505,13 @@ impl<'a> Planner<'a> {
             let _ = graph_oracle.cost(set);
         }
         self.metrics.graph_evals.add(graph_oracle.report().sims_run);
-        let mut sim_oracle =
-            self.runner
-                .oracle_warmed(self.config, self.trace, self.warm_data, self.warm_code);
+        let mut sim_oracle = self.runner.oracle_for(
+            self.sim_ctx,
+            self.config,
+            self.trace,
+            self.warm_data,
+            self.warm_code,
+        );
         sim_oracle.prefetch(sets);
         for &set in sets {
             let _ = sim_oracle.cost(set);
@@ -557,9 +592,13 @@ impl<'a> Planner<'a> {
             .filter(|&i| cache_complete[i] || assessments[i].is_some_and(|a| a.escalate))
             .collect();
         let mut sim_values = vec![0i64; queries.len()];
-        let mut sim_oracle =
-            self.runner
-                .oracle_warmed(self.config, self.trace, self.warm_data, self.warm_code);
+        let mut sim_oracle = self.runner.oracle_for(
+            self.sim_ctx,
+            self.config,
+            self.trace,
+            self.warm_data,
+            self.warm_code,
+        );
         if let Some(run) = sim_oracle.ledger_run_id() {
             ledger.append(&LedgerRecord::Run(RunHeader {
                 run,

@@ -10,7 +10,15 @@
 //! stable across runs and platforms (unlike `DefaultHasher`, whose
 //! algorithm is unspecified); this is what makes the optional on-disk
 //! cache layer safe to reuse between processes.
+//!
+//! Fingerprinting a context walks every byte of the trace (or graph), so
+//! callers that serve many requests against one context compute its
+//! [`ContextId`] once and pass it down (see `Runner::run_for`).
+//! [`context_bytes_hashed`] counts the bytes this thread has fed through
+//! [`context_id`]/[`graph_context_id`], so tests can prove a hot path
+//! hashes nothing.
 
+use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 
 use uarch_trace::{MachineConfig, Trace};
@@ -19,12 +27,15 @@ use uarch_trace::{MachineConfig, Trace};
 #[derive(Debug, Clone)]
 pub struct StableHasher {
     state: u64,
+    /// Bytes fed so far (not part of the hash value).
+    bytes: u64,
 }
 
 impl Default for StableHasher {
     fn default() -> StableHasher {
         StableHasher {
             state: 0xcbf2_9ce4_8422_2325,
+            bytes: 0,
         }
     }
 }
@@ -35,6 +46,7 @@ impl Hasher for StableHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
+        self.bytes += bytes.len() as u64;
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
@@ -109,6 +121,25 @@ impl std::fmt::Display for ContextId {
     }
 }
 
+thread_local! {
+    /// Bytes hashed by [`context_id`]/[`graph_context_id`] on this thread.
+    static CONTEXT_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Total bytes this thread has hashed through [`context_id`] and
+/// [`graph_context_id`] — the deterministic work counter behind "a warm
+/// query fingerprints nothing". Thread-local, so concurrent tests cannot
+/// perturb each other's readings.
+pub fn context_bytes_hashed() -> u64 {
+    CONTEXT_BYTES.with(Cell::get)
+}
+
+/// Finish a context fingerprint, booking its bytes on this thread.
+fn finish_context(h: StableHasher) -> ContextId {
+    CONTEXT_BYTES.with(|c| c.set(c.get() + h.bytes));
+    ContextId(h.finish())
+}
+
 /// Fingerprint a dependence-graph analysis context: the graph's
 /// per-instruction node data and evaluation parameters, tagged `"graph"`
 /// so lane-kernel results never alias ground-truth simulation entries
@@ -117,7 +148,7 @@ pub fn graph_context_id(graph: &uarch_graph::DepGraph) -> ContextId {
     let mut h = StableHasher::default();
     graph.insts().hash(&mut h);
     graph.params().hash(&mut h);
-    ContextId(h.finish()).tagged("graph")
+    finish_context(h).tagged("graph")
 }
 
 /// Fingerprint a full simulation context.
@@ -132,7 +163,7 @@ pub fn context_id(
     trace.hash(&mut h);
     warm_data.hash(&mut h);
     warm_code.hash(&mut h);
-    ContextId(h.finish())
+    finish_context(h)
 }
 
 #[cfg(test)]
@@ -176,6 +207,23 @@ mod tests {
         assert_ne!(base, base.tagged("graph"));
         assert_ne!(base.tagged("graph"), base.tagged("profiler"));
         assert_eq!(base.tagged("graph"), base.tagged("graph"));
+    }
+
+    #[test]
+    fn context_bytes_are_counted_per_thread() {
+        let cfg = MachineConfig::table6();
+        let t = trace(50);
+        let before = context_bytes_hashed();
+        let _ = context_id(&cfg, &t, &[], &[]);
+        let one = context_bytes_hashed() - before;
+        assert!(one > 50 * 8, "every trace byte is counted: {one}");
+        let _ = context_id(&cfg, &t, &[], &[]);
+        assert_eq!(context_bytes_hashed() - before, 2 * one);
+        // Tagging and ad-hoc hashing are not context fingerprints.
+        let _ = ContextId(1).tagged("graph");
+        assert_eq!(context_bytes_hashed() - before, 2 * one);
+        let other = std::thread::spawn(context_bytes_hashed).join().unwrap();
+        assert_eq!(other, 0, "a fresh thread has hashed nothing");
     }
 
     #[test]

@@ -89,17 +89,34 @@ pub struct LatticeGraphOracle<'g> {
 
 impl<'g> LatticeGraphOracle<'g> {
     /// An oracle over `graph`, with one worker per core and a context id
-    /// fingerprinting the graph content.
+    /// fingerprinting the graph content. Hashes the whole graph and runs
+    /// one scalar baseline sweep; see [`LatticeGraphOracle::for_context`]
+    /// to reuse both.
     pub fn new(graph: &'g DepGraph) -> LatticeGraphOracle<'g> {
+        let baseline = graph.evaluate(EventSet::EMPTY);
+        LatticeGraphOracle::for_context(graph, graph_context_id(graph), baseline)
+    }
+
+    /// An oracle over `graph` whose context id and baseline the caller
+    /// already holds. `baseline` must equal `graph.evaluate(∅)`; `ctx`
+    /// keys the answers in any wrapping cache — the graph-content
+    /// fingerprint, or e.g. the workload context that *produced* the
+    /// graph tagged `"graph"`, so disk caches stay stable across
+    /// rebuilds.
+    pub fn for_context(
+        graph: &'g DepGraph,
+        ctx: ContextId,
+        baseline: u64,
+    ) -> LatticeGraphOracle<'g> {
         let ledger = uarch_obs::ledger::global().clone();
         let ledger_run =
             (ledger.is_enabled() || ledger.has_subscribers()).then(|| ledger.next_run_id());
         LatticeGraphOracle {
             graph,
-            ctx: graph_context_id(graph),
+            ctx,
             threads: default_threads(),
             memo: HashMap::new(),
-            baseline: graph.evaluate(EventSet::EMPTY),
+            baseline,
             scratch: LaneScratch::new(),
             metrics: LatticeMetrics::new(),
             ledger,
@@ -114,16 +131,9 @@ impl<'g> LatticeGraphOracle<'g> {
         self
     }
 
-    /// Key results under `ctx` instead of the graph-content fingerprint
-    /// (e.g. the workload context that *produced* the graph, tagged
-    /// `"graph"`, so disk caches stay stable across rebuilds).
-    pub fn with_context(mut self, ctx: ContextId) -> LatticeGraphOracle<'g> {
-        self.ctx = ctx;
-        self
-    }
-
-    /// This oracle's analysis-context fingerprint (already tagged
-    /// `"graph"` unless overridden).
+    /// This oracle's analysis-context fingerprint (tagged `"graph"`
+    /// unless the caller supplied another through
+    /// [`LatticeGraphOracle::for_context`]).
     pub fn context(&self) -> ContextId {
         self.ctx
     }

@@ -48,7 +48,9 @@ mod report;
 mod run;
 
 pub use cache::{SimCache, CACHE_MAX_AGE_ENV, CACHE_MAX_BYTES_ENV};
-pub use fingerprint::{context_id, graph_context_id, ContextId, StableHasher};
+pub use fingerprint::{
+    context_bytes_hashed, context_id, graph_context_id, ContextId, StableHasher,
+};
 pub use lattice::LatticeGraphOracle;
 pub use oracle::{CachedOracle, ParallelMultiSimOracle};
 pub use pool::{default_threads, parallel_map};

@@ -72,7 +72,24 @@ impl<'a> ParallelMultiSimOracle<'a> {
 
     /// An oracle whose every simulation pre-touches `warm_data` /
     /// `warm_code` (steady-state measurement, as `run_warmed`).
+    /// Fingerprints the context; see [`ParallelMultiSimOracle::for_context`]
+    /// to reuse a known fingerprint.
     pub fn warmed(
+        config: &'a MachineConfig,
+        trace: &'a Trace,
+        warm_data: &'a [u64],
+        warm_code: &'a [u64],
+    ) -> ParallelMultiSimOracle<'a> {
+        let ctx = context_id(config, trace, warm_data, warm_code);
+        ParallelMultiSimOracle::for_context(ctx, config, trace, warm_data, warm_code)
+    }
+
+    /// [`ParallelMultiSimOracle::warmed`] over a context whose
+    /// fingerprint the caller already holds: `ctx` must equal
+    /// `context_id(config, trace, warm_data, warm_code)`, since it keys
+    /// every cache entry this oracle reads and writes.
+    pub fn for_context(
+        ctx: ContextId,
         config: &'a MachineConfig,
         trace: &'a Trace,
         warm_data: &'a [u64],
@@ -87,7 +104,7 @@ impl<'a> ParallelMultiSimOracle<'a> {
             trace,
             warm_data,
             warm_code,
-            ctx: context_id(config, trace, warm_data, warm_code),
+            ctx,
             threads,
             cache: SimCache::new(),
             metrics: Metrics::new(threads),

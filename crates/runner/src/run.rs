@@ -22,6 +22,7 @@ use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
 use crate::cache::SimCache;
+use crate::fingerprint::{context_id, graph_context_id, ContextId};
 use crate::lattice::LatticeGraphOracle;
 use crate::oracle::{CachedOracle, ParallelMultiSimOracle};
 use crate::pool::default_threads;
@@ -193,7 +194,23 @@ impl Runner {
         warm_data: &'a [u64],
         warm_code: &'a [u64],
     ) -> ParallelMultiSimOracle<'a> {
-        ParallelMultiSimOracle::warmed(config, trace, warm_data, warm_code)
+        let ctx = context_id(config, trace, warm_data, warm_code);
+        self.oracle_for(ctx, config, trace, warm_data, warm_code)
+    }
+
+    /// [`Runner::oracle_warmed`] over a context whose fingerprint the
+    /// caller already holds (`ctx == context_id(config, trace, warm_data,
+    /// warm_code)`): long-lived callers fingerprint once instead of per
+    /// oracle.
+    pub fn oracle_for<'a>(
+        &self,
+        ctx: ContextId,
+        config: &'a MachineConfig,
+        trace: &'a Trace,
+        warm_data: &'a [u64],
+        warm_code: &'a [u64],
+    ) -> ParallelMultiSimOracle<'a> {
+        ParallelMultiSimOracle::for_context(ctx, config, trace, warm_data, warm_code)
             .with_threads(self.threads)
             .with_cache(self.cache.clone())
     }
@@ -204,8 +221,20 @@ impl Runner {
     /// graphs analyzed through the same runner — or a shared disk cache —
     /// reuse each other's sweeps.
     pub fn graph_oracle<'g>(&self, graph: &'g DepGraph) -> CachedOracle<LatticeGraphOracle<'g>> {
-        let inner = LatticeGraphOracle::new(graph).with_threads(self.threads);
-        let ctx = inner.context();
+        let baseline = graph.evaluate(EventSet::EMPTY);
+        self.graph_oracle_for(graph, graph_context_id(graph), baseline)
+    }
+
+    /// [`Runner::graph_oracle`] with the context id and baseline the
+    /// caller already holds (see [`LatticeGraphOracle::for_context`]).
+    pub fn graph_oracle_for<'g>(
+        &self,
+        graph: &'g DepGraph,
+        ctx: ContextId,
+        baseline: u64,
+    ) -> CachedOracle<LatticeGraphOracle<'g>> {
+        let inner =
+            LatticeGraphOracle::for_context(graph, ctx, baseline).with_threads(self.threads);
         CachedOracle::new(inner, ctx, self.cache.clone())
     }
 
@@ -261,6 +290,24 @@ impl Runner {
         warm_code: &[u64],
         queries: &[Query],
     ) -> (Vec<i64>, RunReport) {
+        let ctx = context_id(config, trace, warm_data, warm_code);
+        self.run_for(ctx, config, trace, warm_data, warm_code, queries)
+    }
+
+    /// [`Runner::run_warmed`] over a context whose fingerprint the caller
+    /// already holds (`ctx == context_id(config, trace, warm_data,
+    /// warm_code)`). A server answering many batches against one context
+    /// fingerprints it once and calls this per batch, so a warm batch
+    /// never re-hashes the trace.
+    pub fn run_for(
+        &self,
+        ctx: ContextId,
+        config: &MachineConfig,
+        trace: &Trace,
+        warm_data: &[u64],
+        warm_code: &[u64],
+        queries: &[Query],
+    ) -> (Vec<i64>, RunReport) {
         let tracer = uarch_obs::global();
         let _run_sp = if tracer.is_enabled() {
             let mut args = vec![("queries", queries.len().to_string())];
@@ -271,7 +318,7 @@ impl Runner {
         } else {
             tracer.span("runner", "runner.run")
         };
-        let mut oracle = self.oracle_warmed(config, trace, warm_data, warm_code);
+        let mut oracle = self.oracle_for(ctx, config, trace, warm_data, warm_code);
         let ledger = uarch_obs::ledger::global();
         if let Some(run) = oracle.ledger_run_id() {
             ledger.append(&LedgerRecord::Run(RunHeader {
@@ -443,6 +490,34 @@ mod tests {
         assert_eq!(second, expect);
         assert_eq!(r2.sims_run, 0, "all answers from the shared cache");
         assert!(r2.cache_hits > 0);
+    }
+
+    #[test]
+    fn known_context_entry_points_hash_nothing() {
+        let cfg = MachineConfig::table6();
+        let t = kernel();
+        let d = EventSet::single(EventClass::Dmiss);
+        let w = EventSet::single(EventClass::Win);
+        let queries = vec![Query::Cost(d), Query::Icost(d.union(w))];
+        let runner = Runner::new().with_threads(2);
+        let (want, _) = runner.run(&cfg, &t, &queries);
+        let ctx = context_id(&cfg, &t, &[], &[]);
+        let before = crate::context_bytes_hashed();
+        let (got, report) = runner.run_for(ctx, &cfg, &t, &[], &[], &queries);
+        assert_eq!(crate::context_bytes_hashed(), before, "no re-fingerprint");
+        assert_eq!(got, want);
+        assert_eq!(report.sims_run, 0, "same key, same cache entries");
+
+        let res = uarch_sim::Simulator::new(&cfg).run(&t, uarch_sim::Idealization::none());
+        let graph = DepGraph::build(&t, &res, &cfg);
+        let (want, _) = runner.run_graph(&graph, &queries);
+        let (gctx, base) = (graph_context_id(&graph), graph.evaluate(EventSet::EMPTY));
+        let before = crate::context_bytes_hashed();
+        let mut oracle = runner.graph_oracle_for(&graph, gctx, base);
+        let got: Vec<i64> = queries.iter().map(|q| q.answer(&mut oracle)).collect();
+        assert_eq!(crate::context_bytes_hashed(), before);
+        assert_eq!(got, want);
+        assert_eq!(oracle.report().sims_run, 0);
     }
 
     #[test]

@@ -9,9 +9,17 @@
 //! already do — the shared content-addressed [`SimCache`] — which is
 //! exactly what makes overlapping client queries cache hits instead of
 //! repeated simulations.
+//!
+//! Fingerprints: the served context never changes, so the host hashes
+//! it once. The simulation [`ContextId`] is computed at construction;
+//! the graph-content id and the graph baseline are computed on the
+//! first `graph`/`auto` batch and memoized. Every batch passes them
+//! down ([`Runner::run_for`], [`Runner::graph_oracle_for`],
+//! [`Planner::for_context`]), so a warm query hashes no trace or graph
+//! bytes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use icost::{icost, icost_of_sets, CostOracle};
@@ -21,7 +29,7 @@ use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, ReportRecord};
 use uarch_obs::{prom, Counter, Gauge, Histogram, Registry};
 use uarch_plan::{assess, Calibrator, PlanConfig, Planner};
-use uarch_runner::{context_id, Query, RunReport, Runner};
+use uarch_runner::{context_id, graph_context_id, ContextId, Query, RunReport, Runner};
 use uarch_sim::{Idealization, PipelineStalls, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
@@ -97,7 +105,14 @@ pub struct ServeHost {
     /// the run ledger at startup, so a restart is not uncalibrated).
     calibrator: Calibrator,
     plan_cfg: PlanConfig,
-    /// `(sim, graph)` context fingerprints for the served workload.
+    /// The served context's simulation fingerprint (computed once).
+    sim_id: ContextId,
+    /// Graph-content fingerprint of `graph`, the `graph` backend's cache
+    /// key; computed on first use.
+    graph_id: OnceLock<ContextId>,
+    /// `graph.evaluate(∅)`; computed on first use.
+    graph_baseline: OnceLock<u64>,
+    /// `(sim, graph)` calibration keys for the served workload.
     sim_ctx: String,
     graph_ctx: String,
     /// The `POST /ingest` session table (and its `ingest.*` metrics).
@@ -171,13 +186,14 @@ impl ServeHost {
         // auto batch arrives.
         let plan_registry = Registry::new();
         drop(
-            Planner::new(
+            Planner::for_context(
                 &runner,
                 &ctx.config,
                 &ctx.trace,
                 &ctx.warm_data,
                 &ctx.warm_code,
                 &graph,
+                sim_ctx,
             )
             .with_registry(plan_registry.clone()),
         );
@@ -197,6 +213,9 @@ impl ServeHost {
             plan_registry,
             calibrator,
             plan_cfg: PlanConfig::default(),
+            sim_id: sim_ctx,
+            graph_id: OnceLock::new(),
+            graph_baseline: OnceLock::new(),
             sim_ctx: sim_ctx.to_string(),
             graph_ctx: graph_ctx.to_string(),
             ingest: {
@@ -252,6 +271,50 @@ impl ServeHost {
     /// The served context.
     pub fn context(&self) -> &ServeContext {
         &self.ctx
+    }
+
+    /// The dependence graph the `graph` backend serves.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
+    }
+
+    /// The served context's simulation fingerprint, equal to
+    /// `context_id(config, trace, warm_data, warm_code)`.
+    pub fn sim_context(&self) -> ContextId {
+        self.sim_id
+    }
+
+    /// The served graph's content fingerprint, equal to
+    /// `graph_context_id(graph)` (hashed on first call, then memoized).
+    pub fn graph_context(&self) -> ContextId {
+        *self.graph_id.get_or_init(|| graph_context_id(&self.graph))
+    }
+
+    /// The served graph's baseline `graph.evaluate(∅)` (swept on first
+    /// call, then memoized).
+    fn graph_baseline(&self) -> u64 {
+        *self
+            .graph_baseline
+            .get_or_init(|| self.graph.evaluate(EventSet::EMPTY))
+    }
+
+    /// A planner over the served context, built from the memoized
+    /// fingerprint and graph baseline and wired to the host's calibrator,
+    /// plan config and `plan.*` registry (what `backend:"auto"` runs).
+    pub fn planner(&self) -> Planner<'_> {
+        Planner::for_context(
+            &self.runner,
+            &self.ctx.config,
+            &self.ctx.trace,
+            &self.ctx.warm_data,
+            &self.ctx.warm_code,
+            &self.graph,
+            self.sim_id,
+        )
+        .with_graph_baseline(self.graph_baseline())
+        .with_calibrator(self.calibrator.clone())
+        .with_config(self.plan_cfg.clone())
+        .with_registry(self.plan_registry.clone())
     }
 
     /// The shared runner (and through it the content-addressed cache).
@@ -418,7 +481,8 @@ impl ServeHost {
         let (queries, backend) = parse_query_body(text)?;
         let (answers, provenance, confidence, report) = match backend {
             Backend::Sim => {
-                let (answers, report) = self.runner.run_warmed(
+                let (answers, report) = self.runner.run_for(
+                    self.sim_id,
                     &self.ctx.config,
                     &self.ctx.trace,
                     &self.ctx.warm_data,
@@ -443,18 +507,7 @@ impl ServeHost {
                 (answers, provenance, confidence, report)
             }
             Backend::Auto => {
-                let mut planner = Planner::new(
-                    &self.runner,
-                    &self.ctx.config,
-                    &self.ctx.trace,
-                    &self.ctx.warm_data,
-                    &self.ctx.warm_code,
-                    &self.graph,
-                )
-                .with_calibrator(self.calibrator.clone())
-                .with_config(self.plan_cfg.clone())
-                .with_registry(self.plan_registry.clone());
-                let (planned, report) = planner.plan(&queries);
+                let (planned, report) = self.planner().plan(&queries);
                 let answers = planned.iter().map(|p| p.value).collect();
                 let provenance = planned.iter().map(|p| p.provenance.as_str()).collect();
                 let confidence = planned.iter().map(|p| p.confidence).collect();
@@ -662,7 +715,9 @@ impl ServeHost {
     /// short-lived oracle's `graph.*` counters into the aggregate
     /// registry (this is [`Runner::run_graph`] plus counter retention).
     fn run_graph_batch(&self, queries: &[Query]) -> (Vec<i64>, uarch_runner::RunReport) {
-        let mut oracle = self.runner.graph_oracle(&self.graph);
+        let mut oracle =
+            self.runner
+                .graph_oracle_for(&self.graph, self.graph_context(), self.graph_baseline());
         let wanted: Vec<EventSet> = queries.iter().flat_map(Query::required_sets).collect();
         oracle.prefetch(&wanted);
         let answers = queries
