@@ -787,11 +787,16 @@ impl Ledger {
     }
 
     /// Whether any live [`Ledger::subscribe`] stream is attached.
-    /// Producers that build records only when someone will read them
-    /// should gate on `is_enabled() || has_subscribers()` — subscribers
-    /// receive lines even when the sink is disabled.
     pub fn has_subscribers(&self) -> bool {
         self.inner.subscriber_count.load(Ordering::Relaxed) > 0
+    }
+
+    /// Whether [`Ledger::append`] would deliver a record anywhere: the
+    /// sink is enabled or a live subscriber is attached (subscribers
+    /// receive lines even when the sink is disabled). Producers that
+    /// build records only when someone will read them gate on this.
+    pub fn wants_records(&self) -> bool {
+        self.is_enabled() || self.has_subscribers()
     }
 
     /// Append one record (buffered; call [`Ledger::flush`] to make it

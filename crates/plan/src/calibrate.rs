@@ -108,7 +108,7 @@ impl Calibrator {
             .refuted
             .insert((sim_ctx.to_string(), graph_ctx.to_string()));
         let ledger = uarch_obs::ledger::global();
-        if fresh && (ledger.is_enabled() || ledger.has_subscribers()) {
+        if fresh && ledger.wants_records() {
             ledger.append(&LedgerRecord::Calib(CalibRecord {
                 sim_ctx: sim_ctx.to_string(),
                 graph_ctx: graph_ctx.to_string(),

@@ -466,7 +466,7 @@ impl<'a> Planner<'a> {
     /// ledger. Returns how many residuals were observed.
     fn observe_residuals(&mut self, cache: &SimCache, sets: &[EventSet]) -> usize {
         let ledger = uarch_obs::ledger::global();
-        let ledgered = ledger.is_enabled() || ledger.has_subscribers();
+        let ledgered = ledger.wants_records();
         let (sim_key, graph_key) = (self.sim_ctx.to_string(), self.graph_ctx.to_string());
         let mut seen = HashSet::new();
         let mut observed = 0;
@@ -637,8 +637,7 @@ impl<'a> Planner<'a> {
         self.observe_residuals(&cache, &escalated_sets);
 
         // Assemble answers, counters, and plan ledger records.
-        let plan_run =
-            (ledger.is_enabled() || ledger.has_subscribers()).then(|| ledger.next_run_id());
+        let plan_run = ledger.wants_records().then(|| ledger.next_run_id());
         let answers: Vec<PlannedAnswer> = queries
             .iter()
             .enumerate()

@@ -109,8 +109,7 @@ impl<'g> LatticeGraphOracle<'g> {
         baseline: u64,
     ) -> LatticeGraphOracle<'g> {
         let ledger = uarch_obs::ledger::global().clone();
-        let ledger_run =
-            (ledger.is_enabled() || ledger.has_subscribers()).then(|| ledger.next_run_id());
+        let ledger_run = ledger.wants_records().then(|| ledger.next_run_id());
         LatticeGraphOracle {
             graph,
             ctx,

@@ -97,8 +97,7 @@ impl<'a> ParallelMultiSimOracle<'a> {
     ) -> ParallelMultiSimOracle<'a> {
         let threads = default_threads();
         let ledger = uarch_obs::ledger::global().clone();
-        let ledger_run =
-            (ledger.is_enabled() || ledger.has_subscribers()).then(|| ledger.next_run_id());
+        let ledger_run = ledger.wants_records().then(|| ledger.next_run_id());
         ParallelMultiSimOracle {
             config,
             trace,

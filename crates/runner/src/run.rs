@@ -379,7 +379,7 @@ impl Runner {
             return;
         };
         let ledger = uarch_obs::ledger::global();
-        if !ledger.is_enabled() && !ledger.has_subscribers() {
+        if !ledger.wants_records() {
             return;
         }
         {

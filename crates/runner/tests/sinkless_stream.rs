@@ -1,7 +1,8 @@
 //! Regression: live ledger subscribers receive run/job records even
 //! when no sink is configured (`ICOST_LEDGER_FILE` unset). The serve
 //! plane's `GET /events` relies on producers gating record construction
-//! on `is_enabled() || has_subscribers()`, not the sink alone.
+//! on `Ledger::wants_records()` (sink enabled or a subscriber
+//! attached), not the sink alone.
 //!
 //! Own test binary: installing the disabled global ledger is a
 //! once-per-process operation.

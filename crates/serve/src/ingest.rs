@@ -28,15 +28,20 @@
 //!
 //! `window` is honored only when the session is created (bounded to
 //! [`MAX_WINDOW`]); `insts` may be empty; `done: true` flushes the
-//! trailing partial window and closes the session.
+//! trailing partial window and closes the session. Bodies are decoded
+//! straight into instructions by a pull decoder over
+//! [`json::Reader`], with no intermediate tree, before the table lock
+//! is taken.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
 use uarch_graph::{StreamingBuilder, DEFAULT_WINDOW};
-use uarch_obs::json::{self, Value};
+use uarch_obs::json::{self, Kind, Reader};
 use uarch_obs::ledger::{LedgerRecord, WindowRecord};
 use uarch_obs::{Counter, Gauge, Histogram, Registry};
 use uarch_trace::{Inst, MachineConfig, OpClass, Reg};
@@ -243,21 +248,25 @@ impl IngestSessions {
     }
 
     /// Append one retired window to the global ledger and record its
-    /// metrics.
+    /// metrics. The record's name maps are built only when the ledger
+    /// would deliver it: this runs under the session-table lock.
     fn emit_window(&self, run: u64, window: &uarch_graph::WindowBreakdown) {
-        uarch_obs::ledger::global().append(&LedgerRecord::Window(WindowRecord {
-            run,
-            window: window.window,
-            start: window.start,
-            end: window.end,
-            baseline: window.baseline,
-            lag: window.frontier_lag,
-            eval_us: window.eval_us,
-            costs: window.costs_by_name(),
-            pairs: window.pairs_by_name(),
-            // Stamped by Ledger::append from the causal context.
-            trace: String::new(),
-        }));
+        let ledger = uarch_obs::ledger::global();
+        if ledger.wants_records() {
+            ledger.append(&LedgerRecord::Window(WindowRecord {
+                run,
+                window: window.window,
+                start: window.start,
+                end: window.end,
+                baseline: window.baseline,
+                lag: window.frontier_lag,
+                eval_us: window.eval_us,
+                costs: window.costs_by_name(),
+                pairs: window.pairs_by_name(),
+                // Stamped by Ledger::append from the causal context.
+                trace: String::new(),
+            }));
+        }
         self.window_evals.inc();
         self.window_eval_us.record(window.eval_us);
         self.window_lag.set(window.frontier_lag as i64);
@@ -272,13 +281,13 @@ impl IngestSessions {
             );
             let record = audit.to_record(run);
             metrics.observe(&record);
-            uarch_obs::ledger::global().append(&LedgerRecord::Audit(record));
+            ledger.append(&LedgerRecord::Audit(record));
         }
     }
 }
 
 /// One parsed ingest request body.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct IngestBatch {
     session: String,
     window: Option<usize>,
@@ -286,46 +295,38 @@ struct IngestBatch {
     done: bool,
 }
 
+/// Decode one `POST /ingest` body. The whole body is read first, so a
+/// syntax error anywhere (`invalid JSON: …`) wins over any semantic
+/// one; semantic errors then come in field order, exactly as if the
+/// body had been parsed to a tree and picked apart.
 fn parse_ingest_body(text: &str) -> Result<IngestBatch, String> {
-    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let session = doc
-        .get("session")
-        .and_then(Value::as_str)
+    let body = BodyFields::read(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let session = body
+        .session
+        .as_ref()
+        .and_then(Scalar::as_str)
         .ok_or("missing \"session\" string")?;
     if session.is_empty() || session.len() > 128 {
         return Err("\"session\" must be 1..=128 characters".into());
     }
-    let window = match doc.get("window") {
+    let window = match &body.window {
         None => None,
         Some(v) => {
-            let w = num_u64(v).ok_or("\"window\" must be a non-negative integer")? as usize;
+            let w = v
+                .as_u64()
+                .ok_or("\"window\" must be a non-negative integer")? as usize;
             if w == 0 || w > MAX_WINDOW {
                 return Err(format!("\"window\" must be in 1..={MAX_WINDOW}"));
             }
             Some(w)
         }
     };
-    let done = match doc.get("done") {
+    let done = match &body.done {
         None => false,
-        Some(Value::Bool(b)) => *b,
+        Some(Scalar::Bool(b)) => *b,
         Some(_) => return Err("\"done\" must be a boolean".into()),
     };
-    let insts = match doc.get("insts") {
-        None => Vec::new(),
-        Some(v) => {
-            let items = v.as_arr().ok_or("\"insts\" must be an array")?;
-            if items.len() > MAX_BATCH_INSTS {
-                return Err(format!(
-                    "\"insts\" over the per-request cap ({MAX_BATCH_INSTS})"
-                ));
-            }
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| parse_inst(item).map_err(|e| format!("insts[{i}]: {e}")))
-                .collect::<Result<Vec<Inst>, String>>()?
-        }
-    };
+    let insts = body.insts.unwrap_or(Ok(Vec::new()))?;
     Ok(IngestBatch {
         session: session.to_string(),
         window,
@@ -334,58 +335,248 @@ fn parse_ingest_body(text: &str) -> Result<IngestBatch, String> {
     })
 }
 
-/// Decode one streamed instruction object (the shape
-/// `icost-obs watch --emit` and the CI smoke producer write).
-fn parse_inst(item: &Value) -> Result<Inst, String> {
-    let pc = item
-        .get("pc")
-        .and_then(num_u64)
-        .ok_or("missing \"pc\" integer")?;
-    let op = item
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or("missing \"op\" mnemonic")?;
-    let op = OpClass::from_mnemonic(op).ok_or_else(|| format!("unknown op mnemonic {op:?}"))?;
-    let next_pc = item
-        .get("next_pc")
-        .and_then(num_u64)
-        .ok_or("missing \"next_pc\" integer")?;
-    let dst = match item.get("dst") {
-        None | Some(Value::Null) => None,
-        Some(v) => {
-            let name = v.as_str().ok_or("\"dst\" must be a register string")?;
-            Some(parse_reg(name)?)
-        }
-    };
-    let mut srcs = [None, None];
-    if let Some(v) = item.get("srcs") {
-        let names = v.as_arr().ok_or("\"srcs\" must be an array")?;
-        if names.len() > 2 {
-            return Err("\"srcs\" holds at most two registers".into());
-        }
-        for (i, name) in names.iter().enumerate() {
-            let name = name.as_str().ok_or("\"srcs\" entries must be strings")?;
-            srcs[i] = Some(parse_reg(name)?);
+/// A JSON value read into a field slot, before validation. Arrays and
+/// objects (never valid in a scalar slot) are only syntax-checked.
+#[derive(Debug)]
+enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
+    Other,
+}
+
+impl<'a> Scalar<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Scalar<'a>, String> {
+        Ok(match r.peek_kind()? {
+            Kind::Null => {
+                r.null()?;
+                Scalar::Null
+            }
+            Kind::Bool => Scalar::Bool(r.bool()?),
+            Kind::Num => Scalar::Num(r.number()?),
+            Kind::Str => Scalar::Str(r.string()?),
+            Kind::Arr | Kind::Obj => {
+                r.skip()?;
+                Scalar::Other
+            }
+        })
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
         }
     }
-    let mem_addr = match item.get("mem") {
-        None => 0,
-        Some(v) => num_u64(v).ok_or("\"mem\" must be a non-negative integer")?,
-    };
-    let taken = match item.get("taken") {
-        None => op.is_branch() && !op.is_cond_branch(),
-        Some(Value::Bool(b)) => *b,
-        Some(_) => return Err("\"taken\" must be a boolean".into()),
-    };
-    Ok(Inst {
-        pc,
-        op,
-        srcs,
-        dst,
-        mem_addr,
-        taken,
-        next_pc,
-    })
+
+    /// Exact u64 from a JSON number: rejects negatives, fractions, and
+    /// anything past f64's 2^53 integer precision.
+    fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Scalar::Num(n) => {
+                (n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0).then_some(n as u64)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// An ingest body's top-level members as read; a later duplicate key
+/// replaces an earlier one.
+#[derive(Debug, Default)]
+struct BodyFields<'a> {
+    session: Option<Scalar<'a>>,
+    window: Option<Scalar<'a>>,
+    done: Option<Scalar<'a>>,
+    /// The decoded instructions, or the first semantic error in them.
+    insts: Option<Result<Vec<Inst>, String>>,
+}
+
+impl<'a> BodyFields<'a> {
+    /// Read the whole document; only a syntax error fails. A document
+    /// that is not an object has no members.
+    fn read(text: &'a str) -> Result<BodyFields<'a>, String> {
+        let mut body = BodyFields::default();
+        let mut r = Reader::new(text);
+        if r.peek_kind()? == Kind::Obj {
+            r.object(|r, key| {
+                match &*key {
+                    "session" => body.session = Some(Scalar::read(r)?),
+                    "window" => body.window = Some(Scalar::read(r)?),
+                    "done" => body.done = Some(Scalar::read(r)?),
+                    "insts" => body.insts = Some(read_insts(r)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+        } else {
+            r.skip()?;
+        }
+        r.finish()?;
+        Ok(body)
+    }
+}
+
+/// Read an `insts` value into instructions, or into its first semantic
+/// error. The cap is enforced while reading: items past
+/// [`MAX_BATCH_INSTS`], like items after an error, are only
+/// syntax-checked, so no body allocates more than the cap.
+fn read_insts(r: &mut Reader<'_>) -> Result<Result<Vec<Inst>, String>, String> {
+    if r.peek_kind()? != Kind::Arr {
+        r.skip()?;
+        return Ok(Err("\"insts\" must be an array".into()));
+    }
+    let mut insts = Ok(Vec::new());
+    let mut n = 0;
+    r.array(|r| {
+        n += 1;
+        if n == MAX_BATCH_INSTS + 1 {
+            insts = Err(format!(
+                "\"insts\" over the per-request cap ({MAX_BATCH_INSTS})"
+            ));
+        }
+        match &mut insts {
+            Ok(list) => match InstFields::read(r)?.inst() {
+                Ok(inst) => list.push(inst),
+                Err(e) => insts = Err(format!("insts[{}]: {e}", n - 1)),
+            },
+            Err(_) => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(insts)
+}
+
+/// One streamed instruction object's members as read (the shape
+/// [`inst_to_json`] writes); a later duplicate key replaces an earlier
+/// one.
+#[derive(Debug, Default)]
+struct InstFields<'a> {
+    pc: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+    next_pc: Option<Scalar<'a>>,
+    dst: Option<Scalar<'a>>,
+    srcs: Option<Srcs<'a>>,
+    mem: Option<Scalar<'a>>,
+    taken: Option<Scalar<'a>>,
+}
+
+/// A `srcs` value as read: an array's length and its first two items,
+/// or something else.
+#[derive(Debug)]
+enum Srcs<'a> {
+    NotArray,
+    Items {
+        len: usize,
+        first: [Option<Scalar<'a>>; 2],
+    },
+}
+
+impl<'a> InstFields<'a> {
+    /// Read one `insts` item. An item that is not an object has no
+    /// members.
+    fn read(r: &mut Reader<'a>) -> Result<InstFields<'a>, String> {
+        let mut f = InstFields::default();
+        if r.peek_kind()? != Kind::Obj {
+            r.skip()?;
+            return Ok(f);
+        }
+        r.object(|r, key| {
+            match &*key {
+                "pc" => f.pc = Some(Scalar::read(r)?),
+                "op" => f.op = Some(Scalar::read(r)?),
+                "next_pc" => f.next_pc = Some(Scalar::read(r)?),
+                "dst" => f.dst = Some(Scalar::read(r)?),
+                "srcs" => f.srcs = Some(Srcs::read(r)?),
+                "mem" => f.mem = Some(Scalar::read(r)?),
+                "taken" => f.taken = Some(Scalar::read(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(f)
+    }
+
+    /// Validate the members into an instruction, checking fields in a
+    /// fixed order so the first error is deterministic.
+    fn inst(&self) -> Result<Inst, String> {
+        let pc = self
+            .pc
+            .as_ref()
+            .and_then(Scalar::as_u64)
+            .ok_or("missing \"pc\" integer")?;
+        let op = self
+            .op
+            .as_ref()
+            .and_then(Scalar::as_str)
+            .ok_or("missing \"op\" mnemonic")?;
+        let op = OpClass::from_mnemonic(op).ok_or_else(|| format!("unknown op mnemonic {op:?}"))?;
+        let next_pc = self
+            .next_pc
+            .as_ref()
+            .and_then(Scalar::as_u64)
+            .ok_or("missing \"next_pc\" integer")?;
+        let dst = match &self.dst {
+            None | Some(Scalar::Null) => None,
+            Some(v) => {
+                let name = v.as_str().ok_or("\"dst\" must be a register string")?;
+                Some(parse_reg(name)?)
+            }
+        };
+        let mut srcs = [None, None];
+        match &self.srcs {
+            None => {}
+            Some(Srcs::NotArray) => return Err("\"srcs\" must be an array".into()),
+            Some(Srcs::Items { len, .. }) if *len > 2 => {
+                return Err("\"srcs\" holds at most two registers".into())
+            }
+            Some(Srcs::Items { first, .. }) => {
+                for (slot, name) in srcs.iter_mut().zip(first.iter().flatten()) {
+                    let name = name.as_str().ok_or("\"srcs\" entries must be strings")?;
+                    *slot = Some(parse_reg(name)?);
+                }
+            }
+        }
+        let mem_addr = match &self.mem {
+            None => 0,
+            Some(v) => v.as_u64().ok_or("\"mem\" must be a non-negative integer")?,
+        };
+        let taken = match &self.taken {
+            None => op.is_branch() && !op.is_cond_branch(),
+            Some(Scalar::Bool(b)) => *b,
+            Some(_) => return Err("\"taken\" must be a boolean".into()),
+        };
+        Ok(Inst {
+            pc,
+            op,
+            srcs,
+            dst,
+            mem_addr,
+            taken,
+            next_pc,
+        })
+    }
+}
+
+impl<'a> Srcs<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Srcs<'a>, String> {
+        if r.peek_kind()? != Kind::Arr {
+            r.skip()?;
+            return Ok(Srcs::NotArray);
+        }
+        let mut len = 0;
+        let mut first = [None, None];
+        r.array(|r| {
+            match first.get_mut(len) {
+                Some(slot) => *slot = Some(Scalar::read(r)?),
+                None => r.skip()?,
+            }
+            len += 1;
+            Ok(())
+        })?;
+        Ok(Srcs::Items { len, first })
+    }
 }
 
 /// Parse the `Reg` display form (`r5` / `f3`) back to a register.
@@ -404,42 +595,37 @@ fn parse_reg(name: &str) -> Result<Reg, String> {
     }
 }
 
-/// Exact u64 from a JSON number: rejects negatives, fractions, and
-/// anything past f64's 2^53 integer precision.
-fn num_u64(v: &Value) -> Option<u64> {
-    let n = v.as_num()?;
-    (n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0).then_some(n as u64)
-}
-
 /// Serialize `inst` as one ingest-wire JSON object — the encoder half
-/// of [`parse_inst`], used by the `watch --emit` producer and tests.
+/// of the `POST /ingest` decoder, for streaming producers and tests.
+/// Mnemonics and register names never need escaping, so the object is
+/// written into one buffer without quoting passes.
 pub fn inst_to_json(inst: &Inst) -> String {
-    let mut out = format!(
-        "{{\"pc\":{},\"op\":{}",
-        inst.pc,
-        json::quote(inst.op.mnemonic())
-    );
+    let mut out = String::with_capacity(112);
+    let _ = write!(out, "{{\"pc\":{},\"op\":\"{}\"", inst.pc, inst.op);
     if let Some(dst) = inst.dst {
-        out.push_str(&format!(",\"dst\":{}", json::quote(&dst.to_string())));
+        let _ = write!(out, ",\"dst\":\"{dst}\"");
     }
-    let srcs: Vec<String> = inst
-        .srcs
-        .iter()
-        .flatten()
-        .map(|r| json::quote(&r.to_string()))
-        .collect();
-    if !srcs.is_empty() {
-        out.push_str(&format!(",\"srcs\":[{}]", srcs.join(",")));
+    let mut srcs = inst.srcs.iter().flatten();
+    if let Some(first) = srcs.next() {
+        let _ = write!(out, ",\"srcs\":[\"{first}\"");
+        for src in srcs {
+            let _ = write!(out, ",\"{src}\"");
+        }
+        out.push(']');
     }
     if inst.op.is_mem() {
-        out.push_str(&format!(",\"mem\":{}", inst.mem_addr));
+        let _ = write!(out, ",\"mem\":{}", inst.mem_addr);
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"taken\":{},\"next_pc\":{}}}",
         inst.taken, inst.next_pc
-    ));
+    );
     out
 }
+
+#[cfg(test)]
+mod decode_props;
 
 #[cfg(test)]
 mod tests {
@@ -471,13 +657,232 @@ mod tests {
         )
     }
 
+    /// Decode one encoded instruction object through the production
+    /// reader.
+    fn decode_inst(text: &str) -> Result<Inst, String> {
+        let mut r = Reader::new(text);
+        let fields = InstFields::read(&mut r)?;
+        r.finish()?;
+        fields.inst()
+    }
+
     #[test]
     fn instructions_roundtrip_through_the_wire_shape() {
         for inst in sample_insts(40) {
             let encoded = inst_to_json(&inst);
-            let doc = json::parse(&encoded).expect("encoder emits valid JSON");
-            assert_eq!(parse_inst(&doc).expect("decodes"), inst, "{encoded}");
+            json::parse(&encoded).expect("encoder emits valid JSON");
+            assert_eq!(decode_inst(&encoded).expect("decodes"), inst, "{encoded}");
         }
+    }
+
+    /// One instruction per op class, covering `dst`, zero to two
+    /// `srcs` (including a lone second source), `mem`, and both `taken`
+    /// values.
+    fn golden_insts() -> Vec<Inst> {
+        let (r, f) = (Reg::int, Reg::fp);
+        let inst = |pc: u64, op, dst, srcs, mem_addr, taken, next_pc| Inst {
+            pc,
+            op,
+            srcs,
+            dst,
+            mem_addr,
+            taken,
+            next_pc,
+        };
+        vec![
+            inst(
+                0,
+                OpClass::IntAlu,
+                Some(r(1)),
+                [Some(r(2)), Some(r(3))],
+                0,
+                false,
+                4,
+            ),
+            inst(
+                4,
+                OpClass::IntMult,
+                Some(r(4)),
+                [Some(r(1)), None],
+                0,
+                false,
+                8,
+            ),
+            inst(
+                8,
+                OpClass::FpAlu,
+                Some(f(0)),
+                [Some(f(1)), Some(f(31))],
+                0,
+                false,
+                12,
+            ),
+            inst(
+                12,
+                OpClass::FpMult,
+                Some(f(2)),
+                [Some(f(0)), None],
+                0,
+                false,
+                16,
+            ),
+            inst(
+                16,
+                OpClass::FpDiv,
+                Some(f(3)),
+                [Some(f(2)), Some(f(1))],
+                0,
+                false,
+                20,
+            ),
+            inst(
+                20,
+                OpClass::Load,
+                Some(r(5)),
+                [Some(r(6)), None],
+                65_536,
+                false,
+                24,
+            ),
+            inst(
+                24,
+                OpClass::Store,
+                None,
+                [Some(r(5)), Some(r(6))],
+                1 << 53,
+                false,
+                28,
+            ),
+            inst(
+                28,
+                OpClass::CondBranch,
+                None,
+                [Some(r(1)), None],
+                0,
+                true,
+                4,
+            ),
+            inst(
+                4,
+                OpClass::CondBranch,
+                None,
+                [Some(r(31)), Some(r(0))],
+                0,
+                false,
+                8,
+            ),
+            inst(32, OpClass::Jump, None, [None, None], 0, true, 4096),
+            inst(
+                4096,
+                OpClass::Call,
+                Some(r(31)),
+                [None, None],
+                0,
+                true,
+                8192,
+            ),
+            inst(
+                8192,
+                OpClass::Return,
+                None,
+                [Some(r(31)), None],
+                0,
+                true,
+                4100,
+            ),
+            inst(
+                4100,
+                OpClass::IndirectJump,
+                None,
+                [Some(r(7)), None],
+                0,
+                true,
+                0,
+            ),
+            inst(
+                u64::MAX,
+                OpClass::Nop,
+                None,
+                [None, Some(r(9))],
+                0,
+                false,
+                u64::MAX,
+            ),
+        ]
+    }
+
+    #[test]
+    fn inst_to_json_has_golden_bytes() {
+        let golden = [
+            r#"{"pc":0,"op":"alu","dst":"r1","srcs":["r2","r3"],"taken":false,"next_pc":4}"#,
+            r#"{"pc":4,"op":"mul","dst":"r4","srcs":["r1"],"taken":false,"next_pc":8}"#,
+            r#"{"pc":8,"op":"fadd","dst":"f0","srcs":["f1","f31"],"taken":false,"next_pc":12}"#,
+            r#"{"pc":12,"op":"fmul","dst":"f2","srcs":["f0"],"taken":false,"next_pc":16}"#,
+            r#"{"pc":16,"op":"fdiv","dst":"f3","srcs":["f2","f1"],"taken":false,"next_pc":20}"#,
+            r#"{"pc":20,"op":"ld","dst":"r5","srcs":["r6"],"mem":65536,"taken":false,"next_pc":24}"#,
+            r#"{"pc":24,"op":"st","srcs":["r5","r6"],"mem":9007199254740992,"taken":false,"next_pc":28}"#,
+            r#"{"pc":28,"op":"br","srcs":["r1"],"taken":true,"next_pc":4}"#,
+            r#"{"pc":4,"op":"br","srcs":["r31","r0"],"taken":false,"next_pc":8}"#,
+            r#"{"pc":32,"op":"jmp","taken":true,"next_pc":4096}"#,
+            r#"{"pc":4096,"op":"call","dst":"r31","taken":true,"next_pc":8192}"#,
+            r#"{"pc":8192,"op":"ret","srcs":["r31"],"taken":true,"next_pc":4100}"#,
+            r#"{"pc":4100,"op":"ijmp","srcs":["r7"],"taken":true,"next_pc":0}"#,
+            r#"{"pc":18446744073709551615,"op":"nop","srcs":["r9"],"taken":false,"next_pc":18446744073709551615}"#,
+        ];
+        let insts = golden_insts();
+        assert_eq!(insts.len(), golden.len());
+        let classes: std::collections::HashSet<OpClass> = insts.iter().map(|i| i.op).collect();
+        assert_eq!(
+            classes.len(),
+            OpClass::ALL.len(),
+            "every op class is pinned"
+        );
+        for (inst, want) in insts.iter().zip(golden) {
+            assert_eq!(inst_to_json(inst), want);
+            // Everything but the out-of-range nop decodes back as written
+            // (a lone second source comes back first).
+            if inst.pc <= 1 << 53 {
+                assert_eq!(decode_inst(want).as_ref(), Ok(inst), "{want}");
+            }
+        }
+    }
+
+    #[test]
+    fn over_cap_bodies_are_rejected_while_reading() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        let items = |n: usize| vec!["{}"; n].join(",");
+        let capped = format!(
+            r#"{{"session":"cap","insts":[{}]}}"#,
+            items(MAX_BATCH_INSTS + 1)
+        );
+        let err = table.handle(capped.as_bytes()).unwrap_err();
+        assert!(err.contains("per-request cap"), "{err}");
+        assert_eq!(table.active(), 0, "a rejected body opens no session");
+        // At the cap itself the items are decoded, and the first bad one
+        // is what fails.
+        let at_cap = format!(
+            r#"{{"session":"cap","insts":[{}]}}"#,
+            items(MAX_BATCH_INSTS)
+        );
+        let err = table.handle(at_cap.as_bytes()).unwrap_err();
+        assert_eq!(err, "insts[0]: missing \"pc\" integer");
+        // Syntax still outranks the cap: the skipped tail is checked.
+        let broken = capped.replace("]}", "]");
+        let err = table.handle(broken.as_bytes()).unwrap_err();
+        assert!(err.starts_with("invalid JSON:"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_client_error() {
+        // Well under the HTTP body cap, but deep enough to exhaust a
+        // worker's stack if the reader recursed without limit.
+        let table = IngestSessions::new(MachineConfig::table6());
+        let body = format!(r#"{{"session":"deep","x":{}}}"#, "[".repeat(200_000));
+        let err = table.handle(body.as_bytes()).unwrap_err();
+        assert!(
+            err.starts_with("invalid JSON:") && err.contains("nesting"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -507,7 +912,7 @@ mod tests {
         assert_eq!(snap.counter("ingest.sessions_opened"), 1);
         let outcome = last.to_json();
         let doc = json::parse(&outcome).expect("response is JSON");
-        assert_eq!(doc.get("windows").and_then(num_u64), Some(4));
+        assert_eq!(doc.get("windows").and_then(json::Value::as_num), Some(4.0));
     }
 
     #[test]
