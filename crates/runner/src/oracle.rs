@@ -21,12 +21,13 @@
 //! [`report`]: ParallelMultiSimOracle::report
 
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use icost::CostOracle;
 use uarch_obs::ledger::{JobRecord, Ledger, LedgerRecord, Provenance};
 use uarch_obs::{global, Registry};
-use uarch_sim::{EngineStats, Idealization, PipelineStalls, Simulator};
+use uarch_sim::{EngineStats, Idealization, PipelineStalls, SimContext, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
 use crate::cache::SimCache;
@@ -53,6 +54,10 @@ pub struct ParallelMultiSimOracle<'a> {
     warm_data: &'a [u64],
     warm_code: &'a [u64],
     ctx: ContextId,
+    /// The warmed machine and predictor verdicts every simulation starts
+    /// from, prepared on the first simulation this oracle runs. A batch
+    /// answered entirely from cache never prepares it.
+    sim: OnceLock<SimContext<'a>>,
     threads: usize,
     cache: SimCache,
     metrics: Metrics,
@@ -104,6 +109,7 @@ impl<'a> ParallelMultiSimOracle<'a> {
             warm_data,
             warm_code,
             ctx,
+            sim: OnceLock::new(),
             threads,
             cache: SimCache::new(),
             metrics: Metrics::new(threads),
@@ -205,19 +211,24 @@ impl<'a> ParallelMultiSimOracle<'a> {
         }
     }
 
+    /// This context's prepared simulation state, built on first use.
+    fn sim_context(&self) -> &SimContext<'a> {
+        self.sim.get_or_init(|| {
+            let _sp = global().span("runner", "sim.prepare");
+            Simulator::new(self.config).prepare(self.trace, self.warm_data, self.warm_code)
+        })
+    }
+
+    /// One cost-only simulation under `set` (no per-instruction records).
     fn simulate(&self, set: EventSet) -> (u64, PipelineStalls, EngineStats) {
+        let sim = self.sim_context();
         let tracer = global();
         let _sp = if tracer.is_enabled() {
             tracer.span_with("runner", "sim", vec![("set", set.to_string())])
         } else {
             tracer.span("runner", "sim")
         };
-        let r = Simulator::new(self.config).run_warmed(
-            self.trace,
-            Idealization::from(set),
-            self.warm_data,
-            self.warm_code,
-        );
+        let r = sim.totals(Idealization::from(set));
         (r.cycles, r.stalls, r.engine)
     }
 
@@ -318,6 +329,8 @@ impl CostOracle for ParallelMultiSimOracle<'_> {
         }
 
         let sim_start = Instant::now();
+        // Prepare on this thread, before the workers share it.
+        self.sim_context();
         let results = {
             let _wave = if tracer.is_enabled() {
                 tracer.span_with("runner", "wave", vec![("jobs", jobs.len().to_string())])
@@ -467,6 +480,20 @@ mod tests {
             assert_eq!(par.cost(s), serial.cost(s), "cost({s}) diverged");
         }
         assert_eq!(par.baseline(), serial.baseline());
+    }
+
+    #[test]
+    fn unannounced_queries_share_one_prepared_context() {
+        let cfg = MachineConfig::table6();
+        let t = kernel(12);
+        let sets = EventClass::ALL.map(EventSet::single);
+        let mut serial = MultiSimOracle::new(&cfg, &t);
+        let want = sets.map(|s| serial.cost(s));
+        let mut par = ParallelMultiSimOracle::new(&cfg, &t);
+        let before = uarch_sim::contexts_prepared();
+        assert_eq!(sets.map(|s| par.cost(s)), want);
+        assert_eq!(par.report().sims_run, 9);
+        assert_eq!(uarch_sim::contexts_prepared() - before, 1);
     }
 
     #[test]

@@ -521,6 +521,38 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_breakdown_prepares_its_context_once() {
+        // The Table 4a breakdown: 8 costs and 28 pair icosts, 37 distinct
+        // sets. One worker, so every job runs on this thread and a
+        // per-job preparation would show in this thread's counter.
+        let mut queries: Vec<Query> = EventClass::ALL
+            .iter()
+            .map(|&c| Query::Cost(EventSet::single(c)))
+            .collect();
+        for (i, &a) in EventClass::ALL.iter().enumerate() {
+            for &b in &EventClass::ALL[i + 1..] {
+                queries.push(Query::Icost(EventSet::from([a, b])));
+            }
+        }
+        let cfg = MachineConfig::table6();
+        let t = kernel();
+        let warm_data = [0x10_0000, 0x10_1000];
+        let ctx = context_id(&cfg, &t, &warm_data, &[]);
+        let runner = Runner::new().with_threads(1);
+        let before = uarch_sim::contexts_prepared();
+        let (cold, report) = runner.run_for(ctx, &cfg, &t, &warm_data, &[], &queries);
+        assert_eq!(report.sims_run, 37);
+        assert_eq!(uarch_sim::contexts_prepared() - before, 1);
+        let (warm, report) = runner.run_for(ctx, &cfg, &t, &warm_data, &[], &queries);
+        assert_eq!((warm, report.sims_run), (cold, 0));
+        assert_eq!(
+            uarch_sim::contexts_prepared() - before,
+            1,
+            "a batch answered from cache prepares nothing"
+        );
+    }
+
+    #[test]
     fn required_sets_shapes() {
         let d = EventSet::single(EventClass::Dmiss);
         let w = EventSet::single(EventClass::Win);

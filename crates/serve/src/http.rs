@@ -13,6 +13,11 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body, in bytes.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
+/// Upper bound on the number of header lines. Without it a head of
+/// minimal `a:` lines inside [`MAX_HEAD_BYTES`] would hold thousands of
+/// `(String, String)` pairs, many times the head's own size.
+const MAX_HEADERS: usize = 100;
+
 /// One parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {
@@ -70,9 +75,12 @@ fn read_head_line<R: BufRead>(
     Ok(n)
 }
 
-/// Read one request from `stream` (which should have a read timeout
-/// set by the caller).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
+/// Read one request from `stream` (a socket should have a read timeout
+/// set by the caller). Any byte source works, so the parser can be
+/// driven from memory; whatever arrives, the result is `Ok` or a
+/// [`ParseError`], and what is buffered stays within
+/// [`MAX_HEAD_BYTES`] for the head and [`MAX_BODY_BYTES`] for the body.
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, ParseError> {
     let mut reader = BufReader::new(stream);
     let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
@@ -109,6 +117,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         let Some((name, value)) = trimmed.split_once(':') else {
             return Err(ParseError::Malformed(format!("bad header {trimmed:?}")));
         };
+        if headers.len() == MAX_HEADERS {
+            return Err(ParseError::TooLarge("headers"));
+        }
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 

@@ -6,6 +6,10 @@
 //!
 //! The byte counter is thread-local and `handle_query` fingerprints on
 //! the calling thread, so tests running in parallel cannot perturb it.
+//!
+//! The same holds for simulation contexts (the warmed machine and
+//! predictor verdicts a batch's simulations share): a cold `sim` batch
+//! prepares one, and warm batches on any backend prepare none.
 
 use uarch_obs::json;
 use uarch_plan::Planner;
@@ -32,6 +36,21 @@ fn hashed_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, context_bytes_hashed() - before)
 }
 
+/// Simulation contexts prepared on this thread while `f` runs.
+fn prepared_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = uarch_sim::contexts_prepared();
+    let out = f();
+    (out, uarch_sim::contexts_prepared() - before)
+}
+
+fn batch_bodies() -> [String; 3] {
+    ["sim", "graph", "auto"].map(|backend| {
+        format!(
+            r#"{{"backend":"{backend}","queries":[{{"cost":"dmiss"}},{{"icost":"dmiss+win"}},{{"icost_units":["dmiss","bmisp+win"]}}]}}"#
+        )
+    })
+}
+
 fn sims_run(response: &str) -> f64 {
     let doc = json::parse(response).expect("response is JSON");
     doc.get("report")
@@ -52,11 +71,7 @@ fn warm_queries_hash_no_context_bytes() {
         "building a host fingerprints its context exactly once"
     );
 
-    let bodies = ["sim", "graph", "auto"].map(|backend| {
-        format!(
-            r#"{{"backend":"{backend}","queries":[{{"cost":"dmiss"}},{{"icost":"dmiss+win"}},{{"icost_units":["dmiss","bmisp+win"]}}]}}"#
-        )
-    });
+    let bodies = batch_bodies();
     for body in &bodies {
         host.handle_query(body.as_bytes()).expect("warm-up batch");
     }
@@ -90,4 +105,25 @@ fn warm_queries_hash_no_context_bytes() {
         fresh.contexts(),
         (host.sim_context(), host.sim_context().tagged("graph"))
     );
+}
+
+#[test]
+fn warm_queries_prepare_no_simulation_context() {
+    // One worker: every simulation job runs on this thread, so a context
+    // prepared per job (rather than per batch) would be counted here.
+    let host = ServeHost::new(Runner::new().with_threads(1), mcf_context());
+    let [sim, graph, auto] = batch_bodies();
+    let (response, prepared) = prepared_by(|| host.handle_query(sim.as_bytes()));
+    assert!(sims_run(&response.expect("cold sim batch")) > 1.0);
+    assert_eq!(prepared, 1, "a cold sim batch prepares its context once");
+    for body in [&graph, &auto] {
+        host.handle_query(body.as_bytes()).expect("warm-up batch");
+    }
+    for round in 0..5 {
+        for body in [&sim, &graph, &auto] {
+            let (response, prepared) = prepared_by(|| host.handle_query(body.as_bytes()));
+            assert_eq!(sims_run(&response.expect("warm batch")), 0.0);
+            assert_eq!(prepared, 0, "round {round}: {body} prepared a context");
+        }
+    }
 }

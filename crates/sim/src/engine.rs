@@ -4,7 +4,13 @@
 //! event delivery (operand wakeups), commit, an issue fixpoint (so that
 //! zero-latency idealized chains can collapse within a cycle), dispatch,
 //! and fetch. All per-instruction timestamps are recorded in
-//! [`ExecRecord`]s for the dependence-graph model.
+//! [`ExecRecord`]s for the dependence-graph model — or, in a cost-only
+//! run ([`SimContext::totals`]), not kept at all: the engine is generic
+//! over its [`RecordSink`] and never reads a record back.
+//!
+//! Every run starts from a prepared [`SimContext`] (warmed memory
+//! system, predictor verdicts), so a lattice of idealizations over one
+//! context pays for that setup once.
 //!
 //! Two run loops drive those stages:
 //!
@@ -29,17 +35,23 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
-use crate::branch::BranchPredictor;
 use crate::cache::{MemSystem, MissLevel};
+use crate::context::SimContext;
 use crate::ideal::Idealization;
-use crate::record::{EngineStats, EventCounts, ExecRecord, PipelineStalls, SimResult};
+use crate::record::{EngineStats, EventCounts, ExecRecord, PipelineStalls, SimResult, SimTotals};
 use uarch_trace::{FuClass, Inst, MachineConfig, OpClass, Reg, Trace};
 
 /// A very large width standing in for "infinite bandwidth" (paper Table 1).
 const INFINITE: usize = 1 << 24;
 
-/// List terminator for the wakeup-edge arena ([`Engine::waiter_head`]).
+/// List terminator for the wakeup-edge arena ([`Engine::waiter_head`])
+/// and the timing wheel ([`Engine::wheel_head`]).
 const EDGE_NONE: u32 = u32::MAX;
+
+/// Slots in the operand-wakeup timing wheel (a power of two): wakeups
+/// fewer than this many cycles ahead go on the wheel, later ones on a
+/// heap.
+const WHEEL: usize = 256;
 
 /// FxHash-style multiply-rotate hasher for the outstanding-miss map.
 /// The keys are line addresses inside a simulator (no untrusted input,
@@ -109,8 +121,30 @@ impl<'a> Simulator<'a> {
         Simulator { config }
     }
 
-    /// Run `trace` to completion under `ideal`, returning timing and
-    /// per-instruction records. Uses [`EngineMode::from_env`].
+    /// Prepare the per-context state of `trace` on this machine: warm
+    /// the caches and TLBs with `warm_data` (data side) and `warm_code`
+    /// (instruction side), and run the branch predictor over the trace
+    /// once. Every run of the returned [`SimContext`] starts from that
+    /// state, so a lattice of idealizations pays for it once.
+    ///
+    /// Warming models measuring a steady-state window of a long-running
+    /// program (the paper skips eight billion instructions before its
+    /// measurement window); empty warm sets give a cold machine.
+    pub fn prepare<'t>(
+        &self,
+        trace: &'t Trace,
+        warm_data: &[u64],
+        warm_code: &[u64],
+    ) -> SimContext<'t>
+    where
+        'a: 't,
+    {
+        SimContext::new(self.config, trace, warm_data, warm_code)
+    }
+
+    /// Run `trace` to completion on a cold machine under `ideal`,
+    /// returning timing and per-instruction records. Uses
+    /// [`EngineMode::from_env`].
     pub fn run(&self, trace: &Trace, ideal: Idealization) -> SimResult {
         self.run_with_mode(trace, ideal, EngineMode::from_env())
     }
@@ -118,14 +152,12 @@ impl<'a> Simulator<'a> {
     /// [`Simulator::run`] under an explicit run loop (differential
     /// testing: run both modes, assert bit-identical results).
     pub fn run_with_mode(&self, trace: &Trace, ideal: Idealization, mode: EngineMode) -> SimResult {
-        Engine::new(self.config, trace, ideal).run(mode)
+        self.run_warmed_with_mode(trace, ideal, &[], &[], mode)
     }
 
-    /// Run with pre-warmed caches and TLBs: every address in `warm_data`
-    /// is touched on the data side and every address in `warm_code` on the
-    /// instruction side before timing starts. This models measuring a
-    /// steady-state window of a long-running program (the paper skips
-    /// eight billion instructions before its measurement window).
+    /// Run with pre-warmed caches and TLBs (see [`Simulator::prepare`]).
+    /// To run one context under several idealizations, prepare it once
+    /// and run the [`SimContext`] instead.
     pub fn run_warmed(
         &self,
         trace: &Trace,
@@ -145,22 +177,17 @@ impl<'a> Simulator<'a> {
         warm_code: &[u64],
         mode: EngineMode,
     ) -> SimResult {
-        let mut engine = Engine::new(self.config, trace, ideal);
-        for &a in warm_data {
-            engine.mem.data_access(a);
-        }
-        for &a in warm_code {
-            engine.mem.inst_access(a);
-        }
-        engine.run(mode)
+        self.prepare(trace, warm_data, warm_code)
+            .into_run(ideal, mode)
     }
 
-    /// Convenience: run and return only the cycle count.
+    /// Convenience: run and return only the cycle count (a cost-only
+    /// run: no per-instruction records are kept).
     pub fn cycles(&self, trace: &Trace, ideal: Idealization) -> u64 {
-        self.run(trace, ideal).cycles
+        self.cycles_warmed(trace, ideal, &[], &[])
     }
 
-    /// Convenience: warmed run returning only the cycle count.
+    /// Convenience: warmed cost-only run returning the cycle count.
     pub fn cycles_warmed(
         &self,
         trace: &Trace,
@@ -168,8 +195,51 @@ impl<'a> Simulator<'a> {
         warm_data: &[u64],
         warm_code: &[u64],
     ) -> u64 {
-        self.run_warmed(trace, ideal, warm_data, warm_code).cycles
+        self.prepare(trace, warm_data, warm_code)
+            .into_totals(ideal)
+            .cycles
     }
+}
+
+/// Where a run writes its per-instruction [`ExecRecord`]s. The engine
+/// never reads a record back (the two timestamps it needs again, fetch
+/// and complete, live in its own per-instruction state), so a cost-only
+/// run can keep nothing.
+pub(crate) trait RecordSink {
+    /// The record of instruction `i`, or `None` when records are not kept.
+    fn at(&mut self, i: usize) -> Option<&mut ExecRecord>;
+}
+
+impl RecordSink for Vec<ExecRecord> {
+    #[inline(always)]
+    fn at(&mut self, i: usize) -> Option<&mut ExecRecord> {
+        Some(&mut self[i])
+    }
+}
+
+/// The sink of cost-only runs: keeps no records.
+pub(crate) struct Discard;
+
+impl RecordSink for Discard {
+    #[inline(always)]
+    fn at(&mut self, _: usize) -> Option<&mut ExecRecord> {
+        None
+    }
+}
+
+/// Run `trace` under `ideal` from the memory state `mem` (a prepared
+/// context's warmed snapshot) with its predictor verdicts
+/// `mispredicted`, writing records into `sink`.
+pub(crate) fn simulate<R: RecordSink>(
+    cfg: &MachineConfig,
+    trace: &Trace,
+    mispredicted: &[bool],
+    mem: MemSystem,
+    ideal: Idealization,
+    mode: EngineMode,
+    sink: R,
+) -> (SimTotals, R) {
+    Engine::new(cfg, trace, mispredicted, mem, ideal, sink).run(mode)
 }
 
 fn fu_class(op: OpClass) -> FuClass {
@@ -198,17 +268,22 @@ struct Sched {
     ready_time: u64,
     /// Result availability for consumers (complete + wakeup bubble).
     avail: u64,
+    /// Cycle execution completes (valid once `issued`).
+    complete: u64,
+    /// Next instruction in the same timing-wheel slot.
+    wheel_next: u32,
     dispatched: bool,
     issued: bool,
 }
 
-struct Engine<'a> {
+struct Engine<'a, R> {
     cfg: &'a MachineConfig,
     trace: &'a Trace,
     ideal: Idealization,
     mem: MemSystem,
-    predictor: BranchPredictor,
-    records: Vec<ExecRecord>,
+    /// The context's per-instruction predictor verdicts.
+    mispredicted: &'a [bool],
+    records: R,
     sched: Vec<Sched>,
     counts: EventCounts,
     stalls: PipelineStalls,
@@ -224,7 +299,8 @@ struct Engine<'a> {
 
     // Fetch state.
     next_fetch: usize,
-    fetch_queue: VecDeque<u32>,
+    /// Fetched instructions awaiting dispatch, with their fetch cycles.
+    fetch_queue: VecDeque<(u32, u64)>,
     last_line: Option<u64>,
     /// Cycle an in-progress I-miss line arrives (fetch blocked until then).
     line_ready_at: u64,
@@ -245,15 +321,23 @@ struct Engine<'a> {
     /// allocations up front instead of a `Vec` push per dependence edge.
     waiter_head: Vec<u32>,
     waiter_next: Vec<u32>,
-    ready_events: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Pending operand wakeups fewer than [`WHEEL`] cycles ahead: slot
+    /// `cycle % WHEEL` heads a list through [`Sched::wheel_next`], and
+    /// `wheel_bits` marks the non-empty slots. Inline arrays, so a run
+    /// allocates nothing for them. A slot only ever holds wakeups due
+    /// at the one cycle it is visited next.
+    wheel_head: [u32; WHEEL],
+    wheel_bits: [u64; WHEEL / 64],
+    /// Wakeups [`WHEEL`] or more cycles ahead, as `(cycle, inst)`.
+    far_events: BinaryHeap<Reverse<(u64, u32)>>,
     /// Ready-to-issue instructions, kept sorted (oldest first). A plain
     /// sorted `Vec` beats a `BTreeSet` here: the queue is small, inserts
     /// arrive nearly in order, and the issue loop wants slice iteration.
     ready_q: Vec<u32>,
-    /// Scratch for the oldest-first ready-queue scan in
-    /// [`Engine::issue_fixpoint`] — reused across passes and cycles so
-    /// the hot loop never allocates.
-    issue_scratch: Vec<u32>,
+    /// Instructions an issue pass woke with zero latency; they join the
+    /// ready queue when the pass ends. Reused across passes and cycles
+    /// so the hot loop never allocates.
+    woken: Vec<u32>,
 
     // Execute state.
     /// Per-class functional-unit free times, indexed by
@@ -271,13 +355,23 @@ struct Engine<'a> {
     // Commit state.
     next_commit: usize,
     in_flight: usize,
+    /// Commit cycle of the latest committed instruction (the run's
+    /// cycle count once everything has committed).
+    last_commit: u64,
 
     // Run-loop telemetry (ticked vs skipped cycles).
     stats: EngineStats,
 }
 
-impl<'a> Engine<'a> {
-    fn new(cfg: &'a MachineConfig, trace: &'a Trace, ideal: Idealization) -> Engine<'a> {
+impl<'a, R: RecordSink> Engine<'a, R> {
+    fn new(
+        cfg: &'a MachineConfig,
+        trace: &'a Trace,
+        mispredicted: &'a [bool],
+        mem: MemSystem,
+        ideal: Idealization,
+        records: R,
+    ) -> Engine<'a, R> {
         let n = trace.len();
         let inf = ideal.infinite_bw();
         let fu_units: [Vec<u64>; FuClass::ALL.len()] = if inf {
@@ -295,9 +389,9 @@ impl<'a> Engine<'a> {
             cfg,
             trace,
             ideal,
-            mem: MemSystem::new(cfg),
-            predictor: BranchPredictor::new(&cfg.predictor),
-            records: vec![ExecRecord::default(); n],
+            mem,
+            mispredicted,
+            records,
             sched: vec![Sched::default(); n],
             counts: EventCounts::default(),
             stalls: PipelineStalls::default(),
@@ -331,15 +425,18 @@ impl<'a> Engine<'a> {
             reg_map: [None; Reg::COUNT],
             waiter_head: vec![EDGE_NONE; n],
             waiter_next: vec![EDGE_NONE; n * 2],
-            ready_events: BinaryHeap::new(),
+            wheel_head: [EDGE_NONE; WHEEL],
+            wheel_bits: [0; WHEEL / 64],
+            far_events: BinaryHeap::new(),
             ready_q: Vec::new(),
-            issue_scratch: Vec::new(),
+            woken: Vec::new(),
             fu_units,
             fu_infinite: inf,
             outstanding: HashMap::default(),
             fill_charged_until: 0,
             next_commit: 0,
             in_flight: 0,
+            last_commit: 0,
             stats: EngineStats::default(),
         }
     }
@@ -419,30 +516,23 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(self, mode: EngineMode) -> SimResult {
+    fn run(mut self, mode: EngineMode) -> (SimTotals, R) {
         match mode {
             EngineMode::Ticking => self.run_ticking(),
             EngineMode::Events => self.run_events(),
         }
-    }
-
-    fn finish(self) -> SimResult {
-        let cycles = self.records[self.trace.len() - 1].commit;
-        SimResult {
-            cycles,
-            records: self.records,
+        let totals = SimTotals {
+            cycles: self.last_commit,
             counts: self.counts,
             stalls: self.stalls,
             engine: self.stats,
-        }
+        };
+        (totals, self.records)
     }
 
     /// The reference run loop: every stage, every cycle.
-    fn run_ticking(mut self) -> SimResult {
+    fn run_ticking(&mut self) {
         let n = self.trace.len();
-        if n == 0 {
-            return SimResult::default();
-        }
         let mut t: u64 = 0;
         while self.next_commit < n {
             self.deliver_events(t);
@@ -457,7 +547,6 @@ impl<'a> Engine<'a> {
                 "simulation did not converge (deadlock?)"
             );
         }
-        self.finish()
     }
 
     /// The discrete-event run loop: tick a cycle; if it made no progress,
@@ -467,11 +556,8 @@ impl<'a> Engine<'a> {
     /// no-progress cycle leaves every piece of machine state except the
     /// stall counters untouched, so the cycles inside the span are
     /// carbon copies of the one that was actually executed.
-    fn run_events(mut self) -> SimResult {
+    fn run_events(&mut self) {
         let n = self.trace.len();
-        if n == 0 {
-            return SimResult::default();
-        }
         let mut t: u64 = 0;
         while self.next_commit < n {
             let before = self.stalls;
@@ -504,7 +590,6 @@ impl<'a> Engine<'a> {
                 "simulation did not converge (deadlock?)"
             );
         }
-        self.finish()
     }
 
     /// The earliest cycle after `t` at which any stage could behave
@@ -512,7 +597,7 @@ impl<'a> Engine<'a> {
     /// progress. Every source of forward progress or stall-regime change
     /// is time-driven once the machine is idle:
     ///
-    /// - a pending operand wakeup ([`Engine::ready_events`] head);
+    /// - a pending operand wakeup ([`Engine::next_wakeup`]);
     /// - a functional unit a ready instruction is blocked on freeing up;
     /// - the issued ROB head reaching `complete + complete_to_commit`;
     /// - the fetch-queue front maturing past the front-end depth (it may
@@ -531,7 +616,7 @@ impl<'a> Engine<'a> {
                 next = Some(cycle);
             }
         };
-        if let Some(&Reverse((cycle, _))) = self.ready_events.peek() {
+        if let Some(cycle) = self.next_wakeup(t) {
             consider(cycle);
         }
         if !self.ready_q.is_empty() && !self.fu_infinite {
@@ -551,10 +636,10 @@ impl<'a> Engine<'a> {
             }
         }
         if self.next_commit < self.trace.len() && self.sched[self.next_commit].issued {
-            consider(self.records[self.next_commit].complete + self.cfg.complete_to_commit);
+            consider(self.sched[self.next_commit].complete + self.cfg.complete_to_commit);
         }
-        if let Some(&front) = self.fetch_queue.front() {
-            consider(self.records[front as usize].fetch + self.cfg.front_end_depth);
+        if let Some(&(_, fetched)) = self.fetch_queue.front() {
+            consider(fetched + self.cfg.front_end_depth);
         }
         if self.next_fetch < self.trace.len() && self.stalled_on.is_none() {
             consider(self.redirect_at);
@@ -571,13 +656,59 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The earliest pending operand wakeup after `t`, once cycle `t`'s
+    /// wakeups have been delivered: every wheel entry is then due in
+    /// `t+1 ..= t+WHEEL-1`, so the first marked slot after `t`'s, taken
+    /// cyclically, is the earliest.
+    fn next_wakeup(&self, t: u64) -> Option<u64> {
+        let start = (t as usize + 1) % WHEEL;
+        let words = WHEEL / 64;
+        let mut wheel = None;
+        // The start word's upper part, the other words, then the start
+        // word's lower part (wrapped around).
+        for k in 0..=words {
+            let w = (start / 64 + k) % words;
+            let bits = match k {
+                0 => self.wheel_bits[w] & (!0u64 << (start % 64)),
+                _ if k == words => self.wheel_bits[w] & ((1u64 << (start % 64)) - 1),
+                _ => self.wheel_bits[w],
+            };
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                wheel = Some(t + 1 + ((slot + WHEEL - start) % WHEEL) as u64);
+                break;
+            }
+        }
+        let far = self.far_events.peek().map(|&Reverse((cycle, _))| cycle);
+        match (wheel, far) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     fn deliver_events(&mut self, t: u64) -> bool {
+        let slot = t as usize % WHEEL;
+        let bit = 1u64 << (slot % 64);
         let mut delivered = false;
-        while let Some(&Reverse((cycle, idx))) = self.ready_events.peek() {
+        if self.wheel_bits[slot / 64] & bit != 0 {
+            self.wheel_bits[slot / 64] &= !bit;
+            let mut idx = std::mem::replace(&mut self.wheel_head[slot], EDGE_NONE);
+            while idx != EDGE_NONE {
+                debug_assert_eq!(
+                    self.sched[idx as usize].ready_time, t,
+                    "wakeup off its cycle"
+                );
+                let next = self.sched[idx as usize].wheel_next;
+                self.ready_q_insert(idx);
+                idx = next;
+            }
+            delivered = true;
+        }
+        while let Some(&Reverse((cycle, idx))) = self.far_events.peek() {
             if cycle > t {
                 break;
             }
-            self.ready_events.pop();
+            self.far_events.pop();
             self.ready_q_insert(idx);
             delivered = true;
         }
@@ -591,10 +722,13 @@ impl<'a> Engine<'a> {
             if !self.sched[i].issued {
                 break;
             }
-            if self.records[i].complete + self.cfg.complete_to_commit > t {
+            if self.sched[i].complete + self.cfg.complete_to_commit > t {
                 break;
             }
-            self.records[i].commit = t;
+            if let Some(rec) = self.records.at(i) {
+                rec.commit = t;
+            }
+            self.last_commit = t;
             self.next_commit += 1;
             self.in_flight -= 1;
             slots -= 1;
@@ -611,40 +745,51 @@ impl<'a> Engine<'a> {
         slots < self.commit_width
     }
 
+    /// Issue in passes over the ready queue, oldest first, until a pass
+    /// issues nothing or the issue width is spent. A pass scans the
+    /// queue as it stood when the pass began: instructions it wakes with
+    /// zero latency (idealized or `nop` producers) join only for the
+    /// next pass.
     fn issue_fixpoint(&mut self, t: u64) -> bool {
         if self.ready_q.is_empty() {
             return false;
         }
         let mut issued_any = false;
         let mut slots = self.issue_width;
-        // Reuse the scratch buffer for the oldest-first scans — the
-        // borrow is handed back before returning, so the hot loop never
-        // allocates once the buffer has grown to the high-water mark.
-        let mut candidates = std::mem::take(&mut self.issue_scratch);
         loop {
-            let mut progressed = false;
-            // Oldest-first scan of the ready queue (kept sorted).
-            candidates.clear();
-            candidates.extend_from_slice(&self.ready_q);
-            for &idx in &candidates {
-                if slots == 0 {
-                    break;
+            // One pass, compacting in place: issued entries drop out,
+            // the rest keep their order.
+            let mut kept = 0;
+            for k in 0..self.ready_q.len() {
+                let idx = self.ready_q[k];
+                if slots > 0 && self.try_issue(idx, t) {
+                    slots -= 1;
+                } else {
+                    self.ready_q[kept] = idx;
+                    kept += 1;
                 }
-                if !self.try_issue(idx, t) {
-                    continue;
-                }
-                if let Ok(pos) = self.ready_q.binary_search(&idx) {
-                    self.ready_q.remove(pos);
-                }
-                slots -= 1;
-                progressed = true;
-                issued_any = true;
             }
+            let progressed = kept < self.ready_q.len();
+            issued_any |= progressed;
+            self.ready_q.truncate(kept);
+            let woke = !self.woken.is_empty();
+            let mut woken = std::mem::take(&mut self.woken);
+            for idx in woken.drain(..) {
+                self.ready_q_insert(idx);
+            }
+            self.woken = woken;
             if !progressed || slots == 0 {
                 break;
             }
+            if !woke {
+                // Everything left failed on a full functional-unit
+                // class, and a class stays full for the rest of the
+                // cycle: the next pass would fail each entry once more
+                // and end the fixpoint. Charge those attempts directly.
+                self.stalls.issue_fu_busy += self.ready_q.len() as u64;
+                break;
+            }
         }
-        self.issue_scratch = candidates;
         issued_any
     }
 
@@ -673,17 +818,19 @@ impl<'a> Engine<'a> {
         let (latency, rec_extra) = self.exec_latency(i, &inst, t);
         let complete = t + latency;
 
-        let rec = &mut self.records[i];
-        rec.exec = t;
-        rec.complete = complete;
-        rec.exec_latency = latency;
-        rec.re_delay = t - self.sched[i].ready_time;
-        rec.dcache_level = rec_extra.level;
-        rec.dtlb_miss = rec_extra.tlb_miss;
-        rec.pp_producer = rec_extra.pp_producer;
+        if let Some(rec) = self.records.at(i) {
+            rec.exec = t;
+            rec.complete = complete;
+            rec.exec_latency = latency;
+            rec.re_delay = t - self.sched[i].ready_time;
+            rec.dcache_level = rec_extra.level;
+            rec.dtlb_miss = rec_extra.tlb_miss;
+            rec.pp_producer = rec_extra.pp_producer;
+        }
 
         let avail = complete + self.wakeup_bubble(inst.op);
         self.sched[i].avail = avail;
+        self.sched[i].complete = complete;
         self.sched[i].issued = true;
 
         // Wake consumers (drain this producer's edge chain).
@@ -692,7 +839,9 @@ impl<'a> Engine<'a> {
             let next = self.waiter_next[edge as usize];
             let consumer = edge >> 1;
             let slot = (edge & 1) as usize;
-            self.records[consumer as usize].wakeup_bubble[slot] = avail - complete;
+            if let Some(rec) = self.records.at(consumer as usize) {
+                rec.wakeup_bubble[slot] = avail - complete;
+            }
             self.operand_arrived(consumer, avail, t);
             edge = next;
         }
@@ -711,28 +860,42 @@ impl<'a> Engine<'a> {
         s.ready_time = s.ready_time.max(avail);
         debug_assert!(s.pending > 0);
         s.pending -= 1;
-        if s.pending == 0 && s.dispatched {
-            self.mark_ready(consumer, t);
+        if s.pending == 0 && s.dispatched && self.mark_ready(consumer, t) {
+            self.woken.push(consumer);
         }
     }
 
-    fn mark_ready(&mut self, idx: u32, t: u64) {
+    /// Record that instruction `idx` has all its operands and schedule
+    /// its wakeup if its ready time is still ahead. Returns whether it
+    /// is ready at `t` already, for the caller to queue.
+    fn mark_ready(&mut self, idx: u32, t: u64) -> bool {
         let i = idx as usize;
         let ready = self.sched[i].ready_time;
-        self.records[i].ready = ready;
-        if ready <= t {
-            self.ready_q_insert(idx);
-        } else {
-            self.ready_events.push(Reverse((ready, idx)));
+        if let Some(rec) = self.records.at(i) {
+            rec.ready = ready;
         }
+        if ready <= t {
+            return true;
+        }
+        if ready - t < WHEEL as u64 {
+            let slot = ready as usize % WHEEL;
+            self.sched[i].wheel_next = self.wheel_head[slot];
+            self.wheel_head[slot] = idx;
+            self.wheel_bits[slot / 64] |= 1 << (slot % 64);
+        } else {
+            self.far_events.push(Reverse((ready, idx)));
+        }
+        false
     }
 
     fn dispatch(&mut self, t: u64) -> bool {
         let mut slots = self.dispatch_width;
-        while slots > 0 && !self.fetch_queue.is_empty() {
-            let idx = *self.fetch_queue.front().expect("non-empty");
+        while let Some(&(idx, fetched)) = self.fetch_queue.front() {
+            if slots == 0 {
+                break;
+            }
             let i = idx as usize;
-            if self.records[i].fetch + self.cfg.front_end_depth > t {
+            if fetched + self.cfg.front_end_depth > t {
                 break;
             }
             if self.in_flight >= self.rob_size {
@@ -742,7 +905,9 @@ impl<'a> Engine<'a> {
             self.fetch_queue.pop_front();
             self.in_flight += 1;
             slots -= 1;
-            self.records[i].dispatch = t;
+            if let Some(rec) = self.records.at(i) {
+                rec.dispatch = t;
+            }
             let inst = *self.trace.inst(i);
 
             let mut pending = 0u8;
@@ -754,11 +919,16 @@ impl<'a> Engine<'a> {
                 let Some(producer) = self.reg_map[r.index()] else {
                     continue; // live-in: available since before the trace
                 };
-                self.records[i].src_producers[slot] = Some(producer);
                 let p = producer as usize;
-                if self.sched[p].issued {
+                let producer_issued = self.sched[p].issued;
+                if let Some(rec) = self.records.at(i) {
+                    rec.src_producers[slot] = Some(producer);
+                    if producer_issued {
+                        rec.wakeup_bubble[slot] = self.sched[p].avail - self.sched[p].complete;
+                    }
+                }
+                if producer_issued {
                     let avail = self.sched[p].avail;
-                    self.records[i].wakeup_bubble[slot] = avail - self.records[p].complete;
                     ready_time = ready_time.max(avail);
                 } else {
                     pending += 1;
@@ -773,8 +943,8 @@ impl<'a> Engine<'a> {
             self.sched[i].dispatched = true;
             self.sched[i].pending = pending;
             self.sched[i].ready_time = ready_time;
-            if pending == 0 {
-                self.mark_ready(idx, t);
+            if pending == 0 && self.mark_ready(idx, t) {
+                self.ready_q_insert(idx);
             }
         }
         slots < self.dispatch_width
@@ -841,16 +1011,17 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            let rec = &mut self.records[i];
-            rec.fetch = t;
-            rec.icache_extra = self.pending_icache_extra;
-            rec.icache_level = self.pending_icache_level;
-            rec.itlb_miss = self.pending_itlb_miss;
+            if let Some(rec) = self.records.at(i) {
+                rec.fetch = t;
+                rec.icache_extra = self.pending_icache_extra;
+                rec.icache_level = self.pending_icache_level;
+                rec.itlb_miss = self.pending_itlb_miss;
+            }
             self.pending_icache_extra = 0;
             self.pending_icache_level = MissLevel::Hit;
             self.pending_itlb_miss = false;
 
-            self.fetch_queue.push_back(idx);
+            self.fetch_queue.push_back((idx, t));
             self.next_fetch += 1;
             slots -= 1;
             fetched += 1;
@@ -859,14 +1030,13 @@ impl<'a> Engine<'a> {
                 if inst.op.is_cond_branch() {
                     self.counts.cond_branches += 1;
                 }
-                let correct = if self.ideal.perfect_branches() {
-                    true
-                } else {
-                    self.predictor.process(&inst).correct
-                };
-                if !correct {
+                // The context ran the predictor over the trace once;
+                // `bmisp` bypasses it.
+                if !self.ideal.perfect_branches() && self.mispredicted[i] {
                     self.counts.mispredicts += 1;
-                    self.records[i].mispredicted = true;
+                    if let Some(rec) = self.records.at(i) {
+                        rec.mispredicted = true;
+                    }
                     self.stalled_on = Some(idx);
                     return true;
                 }
@@ -1100,6 +1270,30 @@ mod tests {
         assert_eq!(res.counts.merged_loads, 1);
         // Both complete when the fill returns.
         assert_eq!(res.records[1].complete, res.records[0].complete);
+    }
+
+    #[test]
+    fn wakeups_past_the_wheel_are_delivered_on_time() {
+        // A memory fill far longer than the timing wheel: the dependent
+        // op's wakeup goes through the far-event heap and must still
+        // issue the cycle its operand is ready, on both run loops.
+        let mut c = cfg();
+        c.mem_latency = 4 * WHEEL as u64;
+        let mut b = TraceBuilder::new();
+        b.load(Reg::int(1), 0x40_0000);
+        b.alu(Reg::int(2), &[Reg::int(1)]);
+        b.alu(Reg::int(3), &[Reg::int(2)]);
+        let t = b.finish();
+        let ideal = Idealization::from(EventClass::Imiss);
+        let sim = Simulator::new(&c);
+        let tick = sim.run_with_mode(&t, ideal, EngineMode::Ticking);
+        let ev = sim.run_with_mode(&t, ideal, EngineMode::Events);
+        assert_eq!(tick.records, ev.records);
+        let (load, use1, use2) = (&ev.records[0], &ev.records[1], &ev.records[2]);
+        assert!(load.exec_latency > WHEEL as u64);
+        assert_eq!(use1.ready, load.complete);
+        assert_eq!(use1.exec, use1.ready, "issued the cycle it woke");
+        assert_eq!(use2.exec, use1.complete);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!
 //! 1. **Execution time** under a chosen set of idealizations
 //!    ([`Idealization`], paper Table 1) — this is the "multi-simulation"
-//!    cost oracle the paper validates against.
+//!    cost oracle the paper validates against. Prepare a [`SimContext`]
+//!    once per `(config, trace, warm sets)` and run it per idealization;
+//!    [`SimContext::totals`] skips the per-instruction records.
 //! 2. **Per-instruction [`ExecRecord`]s** — the latency, dependence and
 //!    event information from which `uarch-graph` builds the dependence
 //!    graph and `shotgun` draws its samples.
@@ -48,12 +50,14 @@
 
 mod branch;
 mod cache;
+mod context;
 mod engine;
 mod ideal;
 mod record;
 
 pub use branch::{BranchOutcome, BranchPredictor};
 pub use cache::{Cache, MemSystem, MissLevel, Tlb};
+pub use context::{contexts_prepared, SimContext};
 pub use engine::{EngineMode, Simulator, SIM_ENGINE_ENV};
 pub use ideal::Idealization;
-pub use record::{EngineStats, EventCounts, ExecRecord, PipelineStalls, SimResult};
+pub use record::{EngineStats, EventCounts, ExecRecord, PipelineStalls, SimResult, SimTotals};

@@ -231,6 +231,23 @@ impl EngineStats {
     }
 }
 
+/// The whole-run numbers of one simulation, without its per-instruction
+/// records: everything a `cost(S)` query reads. A cost-only run
+/// ([`SimContext::totals`](crate::SimContext::totals)) returns exactly
+/// the [`SimResult::totals`] of the full run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimTotals {
+    /// Total execution time in cycles (commit cycle of the last
+    /// instruction).
+    pub cycles: u64,
+    /// Aggregate event counts.
+    pub counts: EventCounts,
+    /// Per-cause pipeline stall counters.
+    pub stalls: PipelineStalls,
+    /// Run-loop scheduler telemetry.
+    pub engine: EngineStats,
+}
+
 /// Result of simulating one trace.
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {
@@ -249,6 +266,16 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// The whole-run numbers, without the records.
+    pub fn totals(&self) -> SimTotals {
+        SimTotals {
+            cycles: self.cycles,
+            counts: self.counts,
+            stalls: self.stalls,
+            engine: self.engine,
+        }
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -72,4 +72,35 @@ proptest! {
         let is_subset = a.iter().all(|c| b.contains(c));
         prop_assert_eq!(a.is_subset_of(b), is_subset);
     }
+
+    /// `EventSet::parse` sits at the trust boundary (query bodies name
+    /// sets on the wire): arbitrary input must come back `Ok` or `Err`,
+    /// never panic, and an `Ok` must name exactly the classes spelled.
+    #[test]
+    fn parse_accepts_or_rejects_arbitrary_text(
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+        pieces in prop::collection::vec((0usize..14, 0u8..4), 0..10),
+    ) {
+        // Raw bytes, lossily decoded: control chars, multi-byte UTF-8,
+        // replacement characters.
+        let _ = EventSet::parse(&String::from_utf8_lossy(&raw));
+        // Near-valid text: names, near-miss names, separators, padding.
+        const WORDS: [&str; 14] = [
+            "dl1", "win", "bw", "bmisp", "dmiss", "shalu", "lgalu", "imiss",
+            "(none)", "", "DMISS", "shortalu", "dmiss\u{0}", "\u{e9}",
+        ];
+        let mut text = String::new();
+        for &(w, sep) in &pieces {
+            text.push_str(WORDS[w]);
+            text.push_str(["+", " + ", "++", "\t"][sep as usize]);
+        }
+        if let Ok(set) = EventSet::parse(&text) {
+            let named: EventSet = text
+                .split('+')
+                .filter_map(|n| EventClass::from_name(n.trim()))
+                .collect();
+            prop_assert_eq!(set, named, "{:?}", text);
+            prop_assert_eq!(EventSet::parse(&set.to_string()), Ok(set));
+        }
+    }
 }
