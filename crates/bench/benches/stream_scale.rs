@@ -8,19 +8,25 @@
 //!    singleton costs, and each reported pairwise interaction against
 //!    the scalar closed form), and
 //! 3. the emitted `window` records land in the run ledger and parse
-//!    back with the same per-window geometry.
+//!    back with the same per-window geometry, and
+//! 4. two sessions streamed from two threads through one
+//!    `IngestSessions` table retire windows bit-identical to their solo
+//!    builder runs, each session's records in retirement order.
 //!
 //! `ICOST_BENCH_INSTS` scales the trace (CI runs small); the window is
 //! derived as n/16 so the 10x ratio holds at every size.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use icost_bench::{workload, Shape};
-use uarch_graph::{DepGraph, StreamingBuilder};
+use uarch_graph::{DepGraph, StreamingBuilder, WindowBreakdown};
+use uarch_obs::json::quote;
 use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, WindowRecord, LEDGER_FILE_ENV};
+use uarch_serve::{inst_to_json, IngestSessions};
 use uarch_sim::{Idealization, Simulator};
-use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
+use uarch_trace::{EventClass, EventSet, Inst, MachineConfig, Trace};
 
 /// Batch reference: the window sub-trace analyzed cold, exactly as a
 /// standalone run would see it.
@@ -28,6 +34,66 @@ fn batch_window(trace: &Trace, start: usize, end: usize, config: &MachineConfig)
     let t = Trace::from_insts(trace.insts()[start..end].to_vec());
     let result = Simulator::new(config).run(&t, Idealization::none());
     DepGraph::build(&t, &result, config)
+}
+
+/// The ledger record of one retired window.
+fn window_record(run: u64, win: &WindowBreakdown) -> WindowRecord {
+    WindowRecord {
+        run,
+        window: win.window,
+        start: win.start,
+        end: win.end,
+        baseline: win.baseline,
+        lag: win.frontier_lag,
+        eval_us: win.eval_us,
+        costs: win.costs_by_name(),
+        pairs: win.pairs_by_name(),
+        trace: String::new(),
+    }
+}
+
+/// A solo builder run over `insts` in `chunk`-sized pushes, tail
+/// included.
+fn solo_windows(
+    cfg: &MachineConfig,
+    insts: &[Inst],
+    window: usize,
+    chunk: usize,
+) -> (StreamingBuilder, Vec<WindowBreakdown>) {
+    let mut builder = StreamingBuilder::new(cfg, window);
+    let mut windows = Vec::new();
+    for batch in insts.chunks(chunk) {
+        windows.extend(
+            builder
+                .push_batch(batch)
+                .expect("workload traces are connected"),
+        );
+    }
+    windows.extend(builder.finish());
+    (builder, windows)
+}
+
+/// Stream `insts` into session `id` through `table` in `chunk`-sized
+/// `POST /ingest` bodies, closing with the last; true when every batch
+/// is accepted.
+fn stream_session(
+    table: &IngestSessions,
+    id: &str,
+    insts: &[Inst],
+    window: usize,
+    chunk: usize,
+) -> bool {
+    let batches: Vec<&[Inst]> = insts.chunks(chunk).collect();
+    batches.iter().enumerate().all(|(k, batch)| {
+        let items: Vec<String> = batch.iter().map(inst_to_json).collect();
+        let body = format!(
+            "{{\"session\":{},\"window\":{window},\"insts\":[{}],\"done\":{}}}",
+            quote(id),
+            items.join(","),
+            k + 1 == batches.len()
+        );
+        table.handle(body.as_bytes()).is_ok()
+    })
 }
 
 fn main() {
@@ -49,32 +115,12 @@ fn main() {
     // Ingest the whole trace through the streaming frontier, timing the
     // end-to-end pass (ring maintenance + per-window lattice evals).
     let run = uarch_obs::ledger::global().next_run_id();
-    let mut builder = StreamingBuilder::new(&cfg, window);
     let start = Instant::now();
-    let mut windows = Vec::new();
-    for chunk in w.trace.insts().chunks(push_chunk) {
-        windows.extend(
-            builder
-                .push_batch(chunk)
-                .expect("workload traces are connected"),
-        );
-    }
-    windows.extend(builder.finish());
+    let (builder, windows) = solo_windows(&cfg, w.trace.insts(), window, push_chunk);
     let wall = start.elapsed();
     let ledger = uarch_obs::ledger::global();
     for win in &windows {
-        ledger.append(&LedgerRecord::Window(WindowRecord {
-            run,
-            window: win.window,
-            start: win.start,
-            end: win.end,
-            baseline: win.baseline,
-            lag: win.frontier_lag,
-            eval_us: win.eval_us,
-            costs: win.costs_by_name(),
-            pairs: win.pairs_by_name(),
-            trace: String::new(),
-        }));
+        ledger.append(&LedgerRecord::Window(window_record(run, win)));
     }
     ledger.flush().expect("flush ledger");
 
@@ -127,6 +173,55 @@ fn main() {
         && parsed.first().is_some_and(|p| p.start == 0)
         && parsed.last().is_some_and(|p| p.end == n as u64);
 
+    // Gate 4 evidence: gcc and vortex streamed concurrently through one
+    // ingest table, observed through a subscriber. The file sink is off
+    // meanwhile, so the ledger keeps exactly the records above.
+    let other = workload("vortex", n, icost_bench::DEFAULT_SEED);
+    let (_, other_windows) = solo_windows(&cfg, other.trace.insts(), window, push_chunk);
+    ledger.set_enabled(false);
+    let subscriber = ledger.subscribe(1 << 16);
+    let table = IngestSessions::new(cfg.clone());
+    let accepted = std::thread::scope(|s| {
+        let streams = [("gcc", &w.trace), ("vortex", &other.trace)];
+        let table = &table;
+        let handles = streams.map(|(id, trace)| {
+            s.spawn(move || stream_session(table, id, trace.insts(), window, push_chunk))
+        });
+        handles
+            .into_iter()
+            .all(|h| h.join().expect("stream thread"))
+    });
+    let mut runs: BTreeMap<u64, Vec<WindowRecord>> = BTreeMap::new();
+    for line in subscriber.drain() {
+        if let Ok(LedgerRecord::Window(r)) = LedgerRecord::parse(&line) {
+            runs.entry(r.run).or_default().push(WindowRecord {
+                run: 0,
+                eval_us: 0,
+                ..r
+            });
+        }
+    }
+    ledger.set_enabled(true);
+    let solo = |ws: &[WindowBreakdown]| -> Vec<WindowRecord> {
+        ws.iter()
+            .map(|win| WindowRecord {
+                eval_us: 0,
+                ..window_record(0, win)
+            })
+            .collect()
+    };
+    let (gcc_solo, vortex_solo) = (solo(&windows), solo(&other_windows));
+    let concurrent_exact = accepted
+        && subscriber.dropped() == 0
+        && runs.len() == 2
+        && runs.values().any(|r| *r == gcc_solo)
+        && runs.values().any(|r| *r == vortex_solo);
+    println!(
+        "concurrent attach: {} sessions, {} windows retired\n",
+        runs.len(),
+        runs.values().map(Vec::len).sum::<usize>()
+    );
+
     shape.check(
         "the trace is at least 10x the streaming window",
         n >= 10 * window,
@@ -146,6 +241,10 @@ fn main() {
     shape.check(
         "window records round-trip through the run ledger and tile [0, n)",
         parsed.len() == windows.len() && tiles,
+    );
+    shape.check(
+        "two sessions streamed concurrently through one ingest table retire their solo windows, in order",
+        concurrent_exact,
     );
 
     std::process::exit(i32::from(!shape.finish("Stream scaling")));

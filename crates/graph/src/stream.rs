@@ -193,24 +193,23 @@ impl StreamingBuilder {
     /// window retires, so each breakdown's `frontier_lag` reports how
     /// far ingest ran ahead of attribution.
     ///
-    /// On a path-continuity error nothing from the offending
-    /// instruction onward is ingested; the builder stays usable at its
-    /// previous frontier.
+    /// The whole batch's continuity is checked before anything is
+    /// appended: on a path-continuity error nothing from the batch is
+    /// ingested, and the builder stays usable at its previous frontier.
     pub fn push_batch(&mut self, insts: &[Inst]) -> Result<Vec<WindowBreakdown>, String> {
-        for inst in insts {
-            if let Some(expected) = self.expected_pc {
-                if inst.pc != expected {
-                    return Err(format!(
-                        "stream breaks the dynamic path at instruction {}: expected pc {:#x}, got {:#x}",
-                        self.ingested(),
-                        expected,
-                        inst.pc
-                    ));
-                }
+        let mut expected = self.expected_pc;
+        for (k, inst) in insts.iter().enumerate() {
+            if let Some(want) = expected.filter(|pc| *pc != inst.pc) {
+                return Err(format!(
+                    "stream breaks the dynamic path at instruction {}: expected pc {want:#x}, got {:#x}",
+                    self.ingested() + k as u64,
+                    inst.pc
+                ));
             }
-            self.pending.push(*inst);
-            self.expected_pc = Some(inst.next_pc);
+            expected = Some(inst.next_pc);
         }
+        self.pending.extend_from_slice(insts);
+        self.expected_pc = expected;
         self.peak_resident = self.peak_resident.max(self.pending.len());
         let mut out = Vec::new();
         while self.pending.len() >= self.window {
@@ -423,6 +422,39 @@ mod tests {
             .push_batch(&trace.insts()[8..])
             .expect("resume from the previous frontier");
         assert_eq!(builder.windows_emitted(), 2);
+    }
+
+    #[test]
+    fn a_batch_broken_midway_ingests_nothing() {
+        let config = MachineConfig::table6();
+        let trace = busy_trace(40);
+        let insts = trace.insts();
+        let mut builder = StreamingBuilder::new(&config, 16);
+        builder
+            .push_batch(&insts[..8])
+            .expect("prefix is connected");
+        // Items 0..4 of this batch continue the path; item 4 breaks it.
+        let mut broken = insts[8..20].to_vec();
+        broken[4].pc = 0xdead_0000;
+        let err = builder.push_batch(&broken).unwrap_err();
+        assert!(err.contains("at instruction 12"), "{err}");
+        assert_eq!(builder.ingested(), 8, "the connected head was not kept");
+        assert_eq!((builder.windows_emitted(), builder.peak_resident()), (0, 8));
+        // The corrected batch lands at the old frontier, and the windows
+        // match an unbroken replay.
+        let mut windows = builder.push_batch(&insts[8..20]).expect("corrected batch");
+        windows.extend(builder.push_batch(&insts[20..]).expect("rest"));
+        let mut clean = StreamingBuilder::new(&config, 16);
+        let mut want = clean.push_batch(&insts[..8]).expect("prefix");
+        want.extend(clean.push_batch(&insts[8..20]).expect("middle"));
+        want.extend(clean.push_batch(&insts[20..]).expect("rest"));
+        let strip = |ws: Vec<WindowBreakdown>| -> Vec<WindowBreakdown> {
+            ws.into_iter()
+                .map(|w| WindowBreakdown { eval_us: 0, ..w })
+                .collect()
+        };
+        assert_eq!(strip(windows), strip(want));
+        assert_eq!(builder.ingested(), 40);
     }
 
     #[test]

@@ -450,9 +450,9 @@ impl LedgerRecord {
                         .ok_or("\"stalls\" is not an object")?
                         .iter()
                         .map(|(k, v)| {
-                            v.as_num()
-                                .map(|n| (k.clone(), n as u64))
-                                .ok_or_else(|| format!("stall {k:?} is not a number"))
+                            as_u64(v)
+                                .map(|n| (k.clone(), n))
+                                .ok_or_else(|| format!("stall {k:?} is not a count"))
                         })
                         .collect::<Result<_, _>>()?,
                 };
@@ -525,7 +525,10 @@ impl LedgerRecord {
                 sim_us: field_u64(&doc, "sim_us")?,
                 // Absent in pre-scheduler ledgers; default rather than
                 // reject so old files stay parseable.
-                skipped: field_u64(&doc, "skipped").unwrap_or(0),
+                skipped: match doc.get("skipped") {
+                    None => 0,
+                    Some(_) => field_u64(&doc, "skipped")?,
+                },
                 trace: field_trace(&doc),
             })),
             other => Err(format!("unknown record kind {other:?}")),
@@ -569,25 +572,36 @@ fn field_i64_map(doc: &Value, name: &str) -> Result<BTreeMap<String, i64>, Strin
         .ok_or_else(|| format!("missing or non-object {name:?}"))?
         .iter()
         .map(|(k, v)| {
-            v.as_num()
-                .map(|n| (k.clone(), n as i64))
-                .ok_or_else(|| format!("{name:?} entry {k:?} is not a number"))
+            as_i64(v)
+                .map(|n| (k.clone(), n))
+                .ok_or_else(|| format!("{name:?} entry {k:?} is not an integer"))
         })
         .collect()
 }
 
+/// An integer the wire carries exactly: a JSON number with no fraction
+/// within f64's 2^53 integer precision. Anything else — `0.5`, `1e400`,
+/// a 20-digit id — would be silently rounded or saturated by a cast.
+fn as_i64(v: &Value) -> Option<i64> {
+    let n = v.as_num()?;
+    (n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0).then_some(n as i64)
+}
+
+/// A non-negative [`as_i64`].
+fn as_u64(v: &Value) -> Option<u64> {
+    as_i64(v).and_then(|n| u64::try_from(n).ok())
+}
+
 fn field_u64(doc: &Value, name: &str) -> Result<u64, String> {
     doc.get(name)
-        .and_then(Value::as_num)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("missing or non-numeric {name:?}"))
+        .and_then(as_u64)
+        .ok_or_else(|| format!("missing or non-count {name:?}"))
 }
 
 fn field_i64(doc: &Value, name: &str) -> Result<i64, String> {
     doc.get(name)
-        .and_then(Value::as_num)
-        .map(|n| n as i64)
-        .ok_or_else(|| format!("missing or non-numeric {name:?}"))
+        .and_then(as_i64)
+        .ok_or_else(|| format!("missing or non-integer {name:?}"))
 }
 
 fn field_str(doc: &Value, name: &str) -> Result<String, String> {

@@ -9,12 +9,30 @@
 //! (their partial window retires) and dropped, so an abandoned client
 //! cannot pin a window of instructions forever.
 //!
-//! Concurrency model: one mutex over the whole session table. Window
-//! retirement (a cold simulation plus one lane-kernel pass over a
-//! bounded window) runs under that lock, serializing concurrent ingest
-//! batches; that is deliberate — it keeps ledger window records in
-//! retirement order and the resident-memory bound additive across
-//! sessions.
+//! Concurrency model: two levels of lock. The *table* lock guards only
+//! the id → session map: lookup, insert, the [`MAX_SESSIONS`] cap,
+//! removal and the `ingest.sessions` gauge. Each session sits behind
+//! its own `Arc<Mutex<_>>`, and everything slow — appending a batch,
+//! retiring windows (a cold simulation, a graph build and one lattice
+//! pass each), emitting their ledger and audit records, and the
+//! `done: true` tail flush — runs under that session lock only, so
+//! independent streams retire windows in parallel.
+//!
+//! Lock order: a thread holding the table lock never blocks on a
+//! session lock. A request clones its session's `Arc` and releases the
+//! table before locking the session; eviction only `try_lock`s, and
+//! skips any session whose `Arc` a request holds. A session is marked
+//! closed before it leaves the table, and a request that finds its
+//! session closed looks the id up again, so a batch racing a close
+//! opens a fresh session instead of landing in the retired builder.
+//!
+//! Ordering: a session's window and audit records are appended under
+//! its lock, so they reach the ledger in retirement order. Records of
+//! different sessions may interleave. Resident memory is bounded per
+//! session — at most one window plus one batch of instructions — so
+//! the bound across sessions stays additive; concurrency only adds that
+//! several retirements' simulation and lattice scratch can be live at
+//! once, one per session retiring.
 //!
 //! Request body:
 //!
@@ -30,13 +48,13 @@
 //! [`MAX_WINDOW`]); `insts` may be empty; `done: true` flushes the
 //! trailing partial window and closes the session. Bodies are decoded
 //! straight into instructions by a pull decoder over
-//! [`json::Reader`], with no intermediate tree, before the table lock
-//! is taken.
+//! [`json::Reader`], with no intermediate tree, before any lock is
+//! taken.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
@@ -66,17 +84,24 @@ const WINDOW_EVAL_US_BOUNDS: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000]
 #[derive(Debug)]
 struct IngestSession {
     builder: StreamingBuilder,
-    /// Ledger run id stamped on every window record this session emits.
-    run: u64,
+    /// Ledger run id stamped on every window record this session emits;
+    /// taken when the session accepts its first batch.
+    run: Option<u64>,
     last_seen: Instant,
+    /// Set under the session's lock just before it leaves the table; a
+    /// request that acquires the lock afterwards looks its id up again.
+    closed: bool,
 }
+
+/// A session-table entry: each session is locked on its own.
+type Slot = Arc<Mutex<IngestSession>>;
 
 /// The session table behind `POST /ingest`, plus the `ingest.*` /
 /// `window.*` metrics `/metrics` renders for it.
 #[derive(Debug)]
 pub struct IngestSessions {
     config: MachineConfig,
-    sessions: Mutex<HashMap<String, IngestSession>>,
+    sessions: Mutex<HashMap<String, Slot>>,
     registry: Registry,
     sessions_gauge: Gauge,
     sessions_opened: Counter,
@@ -165,91 +190,141 @@ impl IngestSessions {
     /// Flush and drop every session idle longer than `max_idle`;
     /// returns how many were evicted. Partial windows retire on the way
     /// out, so a vanished client's tail still reaches the ledger.
+    ///
+    /// A session with a request in flight is never idle: requests clone
+    /// a session's `Arc` only under the table lock, so a count above the
+    /// table's own reference means one holds it. Stale entries leave the
+    /// table under its lock; their tails flush after it is released.
     pub fn evict_idle(&self, max_idle: Duration) -> usize {
-        let mut sessions = self.sessions.lock().expect("ingest table lock");
         let now = Instant::now();
-        let before = sessions.len();
-        let evicted: Vec<IngestSession> = {
-            let stale: Vec<String> = sessions
-                .iter()
-                .filter(|(_, s)| now.duration_since(s.last_seen) >= max_idle)
-                .map(|(id, _)| id.clone())
-                .collect();
-            stale
-                .into_iter()
-                .filter_map(|id| sessions.remove(&id))
-                .collect()
-        };
-        for mut session in evicted {
-            if let Some(tail) = session.builder.finish() {
-                self.emit_window(session.run, &tail);
+        let mut evicted = Vec::new();
+        {
+            let mut sessions = self.sessions.lock().expect("ingest table lock");
+            sessions.retain(|_, slot| {
+                if Arc::strong_count(slot) > 1 {
+                    return true;
+                }
+                let Ok(mut session) = slot.try_lock() else {
+                    return true;
+                };
+                if now.duration_since(session.last_seen) < max_idle {
+                    return true;
+                }
+                session.closed = true;
+                drop(session);
+                evicted.push(Arc::clone(slot));
+                false
+            });
+            self.sessions_gauge.set(sessions.len() as i64);
+        }
+        for slot in &evicted {
+            let mut session = slot.lock().expect("ingest session lock");
+            if let (Some(run), Some(tail)) = (session.run, session.builder.finish()) {
+                self.emit_window(run, &tail);
             }
         }
-        let after = sessions.len();
-        self.sessions_gauge.set(after as i64);
-        self.sessions_evicted.add((before - after) as u64);
-        before - after
+        self.sessions_evicted.add(evicted.len() as u64);
+        evicted.len()
     }
 
     /// Handle one `POST /ingest` body end to end: evict idle sessions,
     /// parse the batch, feed the session's builder, and append every
     /// retired window to the global ledger. Returns a client-error
-    /// message (HTTP 400) on malformed bodies or broken dynamic paths.
+    /// message (HTTP 400) on malformed bodies or broken dynamic paths;
+    /// a rejected batch changes nothing, and a session whose first
+    /// batch is rejected is not opened.
     pub fn handle(&self, body: &[u8]) -> Result<IngestOutcome, String> {
         self.evict_idle(IDLE_EVICT);
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         let batch = parse_ingest_body(text)?;
         self.batches.inc();
-        let mut sessions = self.sessions.lock().expect("ingest table lock");
-        if !sessions.contains_key(&batch.session) {
-            if sessions.len() >= MAX_SESSIONS {
-                return Err(format!("too many ingest sessions (max {MAX_SESSIONS})"));
+        let outcome = loop {
+            let slot = self.slot(&batch)?;
+            let mut session = slot.lock().expect("ingest session lock");
+            if !session.closed {
+                break self.apply(&batch, &slot, &mut session)?;
             }
-            sessions.insert(
-                batch.session.clone(),
-                IngestSession {
-                    builder: StreamingBuilder::new(
-                        &self.config,
-                        batch.window.unwrap_or(DEFAULT_WINDOW),
-                    ),
-                    run: uarch_obs::ledger::global().next_run_id(),
-                    last_seen: Instant::now(),
-                },
-            );
-            self.sessions_opened.inc();
+        };
+        let _ = uarch_obs::ledger::global().flush();
+        Ok(outcome)
+    }
+
+    /// The session `batch` is bound to, created with the batch's window
+    /// if the id is new. Holds only the table lock.
+    fn slot(&self, batch: &IngestBatch) -> Result<Slot, String> {
+        let mut sessions = self.sessions.lock().expect("ingest table lock");
+        if let Some(slot) = sessions.get(&batch.session) {
+            return Ok(Arc::clone(slot));
         }
-        let session = sessions.get_mut(&batch.session).expect("just inserted");
+        if sessions.len() >= MAX_SESSIONS {
+            return Err(format!("too many ingest sessions (max {MAX_SESSIONS})"));
+        }
+        let slot = Arc::new(Mutex::new(IngestSession {
+            builder: StreamingBuilder::new(&self.config, batch.window.unwrap_or(DEFAULT_WINDOW)),
+            run: None,
+            last_seen: Instant::now(),
+            closed: false,
+        }));
+        sessions.insert(batch.session.clone(), Arc::clone(&slot));
+        self.sessions_gauge.set(sessions.len() as i64);
+        Ok(slot)
+    }
+
+    /// Feed `batch` to its locked, open session and emit what retires.
+    fn apply(
+        &self,
+        batch: &IngestBatch,
+        slot: &Slot,
+        session: &mut IngestSession,
+    ) -> Result<IngestOutcome, String> {
         session.last_seen = Instant::now();
-        let retired = session.builder.push_batch(&batch.insts)?;
+        let retired = match session.builder.push_batch(&batch.insts) {
+            Ok(retired) => retired,
+            Err(e) => {
+                if session.run.is_none() {
+                    self.close(&batch.session, slot, session);
+                }
+                return Err(e);
+            }
+        };
+        let run = *session.run.get_or_insert_with(|| {
+            self.sessions_opened.inc();
+            uarch_obs::ledger::global().next_run_id()
+        });
         self.insts.add(batch.insts.len() as u64);
-        let run = session.run;
         for window in &retired {
             self.emit_window(run, window);
         }
-        let mut outcome = IngestOutcome {
+        if batch.done {
+            if let Some(tail) = session.builder.finish() {
+                self.emit_window(run, &tail);
+            }
+            self.close(&batch.session, slot, session);
+        }
+        Ok(IngestOutcome {
             session: batch.session.clone(),
             ingested: session.builder.ingested(),
             windows: session.builder.windows_emitted(),
             pending: session.builder.frontier_lag(),
             done: batch.done,
-        };
-        if batch.done {
-            let mut session = sessions.remove(&batch.session).expect("present");
-            if let Some(tail) = session.builder.finish() {
-                self.emit_window(run, &tail);
-                outcome.windows = session.builder.windows_emitted();
-                outcome.pending = 0;
-            }
+        })
+    }
+
+    /// Mark the locked `session` closed and take it out of the table.
+    /// Taking the table lock under a session lock is the permitted
+    /// order: no table-lock holder ever blocks on a session.
+    fn close(&self, id: &str, slot: &Slot, session: &mut IngestSession) {
+        session.closed = true;
+        let mut sessions = self.sessions.lock().expect("ingest table lock");
+        if sessions.get(id).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+            sessions.remove(id);
         }
         self.sessions_gauge.set(sessions.len() as i64);
-        drop(sessions);
-        let _ = uarch_obs::ledger::global().flush();
-        Ok(outcome)
     }
 
     /// Append one retired window to the global ledger and record its
     /// metrics. The record's name maps are built only when the ledger
-    /// would deliver it: this runs under the session-table lock.
+    /// would deliver it: this runs under the session's lock.
     fn emit_window(&self, run: u64, window: &uarch_graph::WindowBreakdown) {
         let ledger = uarch_obs::ledger::global();
         if ledger.wants_records() {
@@ -925,11 +1000,18 @@ mod tests {
         let outcome = table
             .handle(body("aud", Some(32), &insts, true).as_bytes())
             .expect("batch");
-        let audits: Vec<uarch_obs::ledger::AuditRecord> = sub
-            .drain()
+        // Other tests stream audited sessions through the same global
+        // ledger: pick this session's run by its solo replay.
+        let want = solo_records(&[&insts], 32, true);
+        let runs = records_by_run(&sub);
+        let ours = runs
+            .values()
+            .find(|got| **got == want)
+            .expect("a run carries this session's windows and audits");
+        let audits: Vec<&uarch_obs::ledger::AuditRecord> = ours
             .iter()
-            .filter_map(|line| match uarch_obs::ledger::LedgerRecord::parse(line) {
-                Ok(uarch_obs::ledger::LedgerRecord::Audit(a)) => Some(a),
+            .filter_map(|r| match r {
+                LedgerRecord::Audit(a) => Some(a),
                 _ => None,
             })
             .collect();
@@ -994,5 +1076,385 @@ mod tests {
             .handle(body("x", None, &insts[4..], true).as_bytes())
             .expect("resume");
         assert_eq!(resumed.ingested, 8);
+    }
+
+    #[test]
+    fn a_rejected_batch_changes_nothing() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        let insts = straight_insts(40, 0x1000);
+        table
+            .handle(body("rb", Some(16), &insts[..8], false).as_bytes())
+            .expect("opens");
+        // Items 0..4 continue the path; item 4 breaks it.
+        let mut broken = insts[8..20].to_vec();
+        broken[4].pc = 0xdead_0000;
+        let err = table
+            .handle(body("rb", None, &broken, false).as_bytes())
+            .unwrap_err();
+        assert!(err.contains("dynamic path"), "{err}");
+        let slot = table.sessions.lock().unwrap()["rb"].clone();
+        assert_eq!(slot.lock().unwrap().builder.ingested(), 8);
+        drop(slot);
+        let fixed = table
+            .handle(body("rb", None, &insts[8..20], false).as_bytes())
+            .expect("the corrected batch lands at the old frontier");
+        assert_eq!((fixed.ingested, fixed.windows, fixed.pending), (20, 1, 4));
+        assert_eq!(table.metrics().snapshot().counter("ingest.insts"), 20);
+    }
+
+    #[test]
+    fn rejected_first_batches_open_no_session() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        let mut broken = straight_insts(4, 0x1000);
+        broken[2].pc = 0xdead_0000;
+        for i in 0..MAX_SESSIONS {
+            let err = table
+                .handle(body(&format!("bad-{i}"), Some(16), &broken, false).as_bytes())
+                .unwrap_err();
+            assert!(err.contains("dynamic path"), "{err}");
+            assert_eq!(table.active(), 0, "rejected session {i} stayed open");
+        }
+        let ok = table
+            .handle(body("good", Some(16), &straight_insts(4, 0x1000), false).as_bytes())
+            .expect("the table still has room");
+        assert_eq!(ok.ingested, 4);
+        assert_eq!(table.active(), 1);
+        let snap = table.metrics().snapshot();
+        assert_eq!(snap.counter("ingest.sessions_opened"), 1);
+        assert_eq!(snap.gauge("ingest.sessions"), 1);
+    }
+
+    /// A connected branch-free stream of `n` instructions from `base`.
+    /// Its pcs never repeat, so a batch continues the path only at its
+    /// own frontier.
+    fn straight_insts(n: usize, base: u64) -> Vec<Inst> {
+        (0..n as u64)
+            .map(|i| {
+                let pc = base + 4 * i;
+                let load = i % 3 == 0;
+                Inst {
+                    pc,
+                    op: if load { OpClass::Load } else { OpClass::IntAlu },
+                    srcs: [Some(Reg::int(if load { 2 } else { 1 })), None],
+                    dst: Some(Reg::int(if load { 1 } else { 2 })),
+                    mem_addr: if load { 0x4000 + (i * 72) % 8192 } else { 0 },
+                    taken: false,
+                    next_pc: pc + 4,
+                }
+            })
+            .collect()
+    }
+
+    /// The ledger records a session streaming `chunks` must emit, from
+    /// a solo `StreamingBuilder` replay: each window record, then its
+    /// audit when `audit` is set. Run ids and timings are zeroed.
+    fn solo_records(chunks: &[&[Inst]], window: usize, audit: bool) -> Vec<LedgerRecord> {
+        let mut builder = StreamingBuilder::new(&MachineConfig::table6(), window);
+        let mut windows = Vec::new();
+        for chunk in chunks {
+            windows.extend(builder.push_batch(chunk).expect("connected"));
+        }
+        windows.extend(builder.finish());
+        let mut out = Vec::new();
+        for w in windows {
+            out.push(LedgerRecord::Window(WindowRecord {
+                run: 0,
+                window: w.window,
+                start: w.start,
+                end: w.end,
+                baseline: w.baseline,
+                lag: w.frontier_lag,
+                eval_us: 0,
+                costs: w.costs_by_name(),
+                pairs: w.pairs_by_name(),
+                trace: String::new(),
+            }));
+            if audit {
+                let scope = format!("window {}", w.window);
+                let cfg = AuditConfig::default();
+                let a =
+                    audit_attribution(&scope, w.baseline, &w.costs, &w.all_pairs, &w.stalls, &cfg);
+                out.push(LedgerRecord::Audit(a.to_record(0)));
+            }
+        }
+        out
+    }
+
+    /// The window and audit records `sub` received, grouped by run in
+    /// arrival order, with run ids and timings zeroed as in
+    /// [`solo_records`].
+    fn records_by_run(
+        sub: &uarch_obs::ledger::LedgerSubscriber,
+    ) -> HashMap<u64, Vec<LedgerRecord>> {
+        let mut runs: HashMap<u64, Vec<LedgerRecord>> = HashMap::new();
+        for line in sub.drain() {
+            let (run, record) = match LedgerRecord::parse(&line) {
+                Ok(LedgerRecord::Window(w)) => (
+                    w.run,
+                    LedgerRecord::Window(WindowRecord {
+                        run: 0,
+                        eval_us: 0,
+                        trace: String::new(),
+                        ..w
+                    }),
+                ),
+                Ok(LedgerRecord::Audit(a)) => (
+                    a.run,
+                    LedgerRecord::Audit(uarch_obs::ledger::AuditRecord {
+                        run: 0,
+                        trace: String::new(),
+                        ..a
+                    }),
+                ),
+                _ => continue,
+            };
+            runs.entry(run).or_default().push(record);
+        }
+        assert_eq!(sub.dropped(), 0, "the subscriber kept every record");
+        runs
+    }
+
+    /// Stream `chunks` into session `id` one request at a time, closing
+    /// with the last; every response must report the running totals.
+    fn stream(table: &IngestSessions, id: &str, window: usize, chunks: &[&[Inst]]) {
+        let mut ingested = 0;
+        for (k, chunk) in chunks.iter().enumerate() {
+            let done = k + 1 == chunks.len();
+            let out = table
+                .handle(body(id, (k == 0).then_some(window), chunk, done).as_bytes())
+                .expect("connected batch");
+            ingested += chunk.len() as u64;
+            assert_eq!((out.ingested, out.done), (ingested, done), "{id} batch {k}");
+        }
+    }
+
+    #[test]
+    fn concurrent_sessions_retire_in_order_and_match_solo_replays() {
+        let registry = Registry::new();
+        let table = IngestSessions::new(MachineConfig::table6())
+            .with_audit(AuditConfig::default(), AuditMetrics::bind(&registry));
+        let sub = uarch_obs::ledger::global().subscribe(1 << 16);
+        let streams: Vec<(String, usize, Vec<Inst>, usize)> = (0..4u64)
+            .map(|t| {
+                let insts = straight_insts(240 + 37 * t as usize, 0x10_0000 * (t + 1));
+                (
+                    format!("conc-{t}"),
+                    16 + 5 * t as usize,
+                    insts,
+                    23 + t as usize,
+                )
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for (id, window, insts, chunk) in &streams {
+                let table = &table;
+                s.spawn(move || {
+                    let chunks: Vec<&[Inst]> = insts.chunks(*chunk).collect();
+                    stream(table, id, *window, &chunks);
+                });
+            }
+        });
+        assert_eq!(table.active(), 0);
+        let runs = records_by_run(&sub);
+        for (id, window, insts, chunk) in &streams {
+            let chunks: Vec<&[Inst]> = insts.chunks(*chunk).collect();
+            // Each window then its audit, the windows tiling the stream in
+            // order: a run equal to the replay arrived in that order.
+            let want = solo_records(&chunks, *window, true);
+            let ends: Vec<(u64, u64)> = want
+                .iter()
+                .filter_map(|r| match r {
+                    LedgerRecord::Window(w) => Some((w.start, w.end)),
+                    _ => None,
+                })
+                .collect();
+            assert!(ends.windows(2).all(|p| p[0].1 == p[1].0), "{id}");
+            assert_eq!(ends.last().map(|e| e.1), Some(insts.len() as u64));
+            assert!(
+                runs.values().any(|got| *got == want),
+                "no run matches the solo replay of {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_long_retirement_does_not_block_other_sessions() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        let big = straight_insts(4 + 1024 * 48, 0x10_0000);
+        let small = straight_insts(20, 0x20_0000);
+        for (id, insts) in [("big", &big), ("small", &small)] {
+            table
+                .handle(body(id, Some(1024), &insts[..4], false).as_bytes())
+                .expect("opens");
+        }
+        let big_slot = table.sessions.lock().unwrap()["big"].clone();
+        let in_flight = || {
+            matches!(
+                big_slot.try_lock(),
+                Err(std::sync::TryLockError::WouldBlock)
+            )
+        };
+        // One request that retires 48 windows.
+        let request = body("big", None, &big[4..], false);
+        std::thread::scope(|s| {
+            let big_request = s.spawn(|| table.handle(request.as_bytes()));
+            while !in_flight() {
+                assert!(
+                    !big_request.is_finished(),
+                    "the big request never held its session"
+                );
+                std::thread::yield_now();
+            }
+            for chunk in small[4..].chunks(4) {
+                table
+                    .handle(body("small", None, chunk, false).as_bytes())
+                    .expect("small batch");
+            }
+            assert!(
+                in_flight(),
+                "the small batches finished only after the big retirement"
+            );
+            let out = big_request.join().unwrap().expect("big batch");
+            assert_eq!(out.windows, 48);
+        });
+    }
+
+    #[test]
+    fn requests_on_one_session_apply_in_order() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        let sub = uarch_obs::ledger::global().subscribe(1 << 16);
+        let insts = straight_insts(400, 0x30_0000);
+        let chunks: Vec<&[Inst]> = insts.chunks(25).collect();
+        table
+            .handle(body("ord", Some(48), chunks[0], false).as_bytes())
+            .expect("opens");
+        // Two clients own alternate chunks of one stream; a chunk lands
+        // only once its predecessor has, so each retries until it does.
+        std::thread::scope(|s| {
+            for parity in 0..2 {
+                let (table, chunks) = (&table, &chunks);
+                s.spawn(move || {
+                    for k in (1..chunks.len()).filter(|k| k % 2 == parity) {
+                        let done = k + 1 == chunks.len();
+                        let req = body("ord", None, chunks[k], done);
+                        loop {
+                            match table.handle(req.as_bytes()) {
+                                Ok(out) => {
+                                    assert_eq!(out.ingested, 25 * (k as u64 + 1));
+                                    break;
+                                }
+                                Err(e) => assert!(e.contains("dynamic path"), "{e}"),
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(table.active(), 0);
+        let want = solo_records(&chunks, 48, false);
+        assert!(
+            records_by_run(&sub).values().any(|got| *got == want),
+            "the interleaved stream retired its solo replay's windows"
+        );
+    }
+
+    #[test]
+    fn a_batch_racing_a_close_never_lands_in_the_closed_builder() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        let old = straight_insts(40, 0x40_0000);
+        let other = straight_insts(12, 0x50_0000);
+        table
+            .handle(body("race", Some(16), &old[..20], false).as_bytes())
+            .expect("opens");
+        // Deterministic interleaving: hold the session as a request in
+        // flight would, let a second request queue on it, then close.
+        let slot = table.sessions.lock().unwrap()["race"].clone();
+        let mut session = slot.lock().unwrap();
+        std::thread::scope(|s| {
+            let racer = s.spawn(|| table.handle(body("race", None, &other, false).as_bytes()));
+            while Arc::strong_count(&slot) < 3 {
+                std::thread::yield_now();
+            }
+            let close = IngestBatch {
+                session: "race".into(),
+                window: None,
+                insts: old[20..].to_vec(),
+                done: true,
+            };
+            let closed = table.apply(&close, &slot, &mut session).expect("close");
+            assert_eq!((closed.ingested, closed.done), (40, true));
+            drop(session);
+            let fresh = racer
+                .join()
+                .unwrap()
+                .expect("the racer opens a fresh session");
+            assert_eq!((fresh.ingested, fresh.windows), (12, 0));
+        });
+        assert_eq!(slot.lock().unwrap().builder.ingested(), 40);
+        assert_eq!(table.active(), 1);
+        assert_eq!(
+            table.metrics().snapshot().counter("ingest.sessions_opened"),
+            2
+        );
+
+        // Free-running races: the racer either fails cleanly against the
+        // open session or opens a fresh one, never extending the old.
+        for i in 0..16 {
+            let id = format!("free-{i}");
+            table
+                .handle(body(&id, Some(16), &old[..20], false).as_bytes())
+                .expect("opens");
+            let (closed, raced) = std::thread::scope(|s| {
+                let closer = s.spawn(|| table.handle(body(&id, None, &old[20..], true).as_bytes()));
+                let racer = s.spawn(|| table.handle(body(&id, None, &other, false).as_bytes()));
+                (closer.join().unwrap(), racer.join().unwrap())
+            });
+            assert_eq!(closed.expect("close").ingested, 40);
+            match raced {
+                Ok(out) => {
+                    assert_eq!(out.ingested, 12, "the racer landed in the old builder");
+                    table
+                        .handle(body(&id, None, &[], true).as_bytes())
+                        .expect("close the fresh session");
+                }
+                Err(e) => assert!(e.contains("dynamic path"), "{e}"),
+            }
+        }
+        assert_eq!(table.active(), 1, "only the deterministic racer is open");
+    }
+
+    #[test]
+    fn eviction_skips_sessions_with_a_request_in_flight() {
+        let table = IngestSessions::new(MachineConfig::table6());
+        table
+            .handle(body("busy", Some(64), &straight_insts(10, 0x1000), false).as_bytes())
+            .expect("opens");
+        let slot = table.sessions.lock().unwrap()["busy"].clone();
+        // Between lookup and lock, and while holding the lock.
+        assert_eq!(table.evict_idle(Duration::ZERO), 0);
+        let session = slot.lock().unwrap();
+        assert_eq!(table.evict_idle(Duration::ZERO), 0);
+        assert_eq!(table.active(), 1);
+        drop(session);
+        drop(slot);
+        assert_eq!(table.evict_idle(Duration::ZERO), 1);
+
+        // A long request keeps its session while an evictor spins.
+        let long = body("long", Some(32), &straight_insts(32 * 24, 0x10_0000), false);
+        let out = std::thread::scope(|s| {
+            let request = s.spawn(|| table.handle(long.as_bytes()));
+            while !request.is_finished() {
+                table.evict_idle(Duration::ZERO);
+                std::thread::yield_now();
+            }
+            request.join().unwrap().expect("long batch")
+        });
+        assert_eq!((out.ingested, out.windows, out.pending), (32 * 24, 24, 0));
+        table.evict_idle(Duration::ZERO);
+        let snap = table.metrics().snapshot();
+        assert_eq!(snap.counter("ingest.sessions_evicted"), 2);
+        // busy's 10-inst tail plus long's 24 windows.
+        assert_eq!(snap.counter("window.evals"), 25);
     }
 }
