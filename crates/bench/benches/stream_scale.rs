@@ -7,8 +7,8 @@
 //!    same instruction range in isolation (baseline, all eight
 //!    singleton costs, and each reported pairwise interaction against
 //!    the scalar closed form), and
-//! 3. the emitted `window` records land in the run ledger and parse
-//!    back with the same per-window geometry, and
+//! 3. the emitted `window` records land in the run ledger behind one
+//!    `run` header and parse back with the same per-window geometry, and
 //! 4. two sessions streamed from two threads through one
 //!    `IngestSessions` table retire windows bit-identical to their solo
 //!    builder runs, each session's records in retirement order.
@@ -23,7 +23,10 @@ use std::time::Instant;
 use icost_bench::{workload, Shape};
 use uarch_graph::{DepGraph, StreamingBuilder, WindowBreakdown};
 use uarch_obs::json::quote;
-use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, WindowRecord, LEDGER_FILE_ENV};
+use uarch_obs::ledger::{
+    parse_ledger, unix_time_ms, Ledger, LedgerRecord, RunHeader, WindowRecord, LEDGER_FILE_ENV,
+};
+use uarch_runner::context_id;
 use uarch_serve::{inst_to_json, IngestSessions};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, Inst, MachineConfig, Trace};
@@ -119,6 +122,17 @@ fn main() {
     let (builder, windows) = solo_windows(&cfg, w.trace.insts(), window, push_chunk);
     let wall = start.elapsed();
     let ledger = uarch_obs::ledger::global();
+    // The header names the analyzed context: the gcc trace, cold, since
+    // streamed windows are simulated without warm-up.
+    ledger.append(&LedgerRecord::Run(RunHeader {
+        run,
+        ctx: context_id(&cfg, &w.trace, &[], &[]).to_string(),
+        queries: 0,
+        threads: 1,
+        insts: n as u64,
+        ts_ms: unix_time_ms(),
+        trace: String::new(),
+    }));
     for win in &windows {
         ledger.append(&LedgerRecord::Window(window_record(run, win)));
     }

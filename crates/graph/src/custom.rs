@@ -69,7 +69,7 @@ impl DepGraph {
     ///
     /// `cost = evaluate(ideal) − evaluate_custom(ideal, pick)` gives the
     /// cost of exactly the chosen events.
-    pub fn evaluate_custom(
+    fn evaluate_custom(
         &self,
         ideal: EventSet,
         mut pick: impl FnMut(usize, &GraphInst) -> InstIdealization,

@@ -16,15 +16,19 @@
 //! once per run (and by [`crate::FlushGuard`] on drop/panic), keeping
 //! the enabled overhead under the `runner_scale` bench's 3% budget.
 
+use std::any::type_name;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{Display, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write as _};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::json::{self, quote, Value};
+use crate::json::{quote, Kind, Reader};
 use crate::registry::lock_unpoisoned;
 use crate::{Counter, Registry};
 
@@ -72,543 +76,528 @@ impl Provenance {
     }
 }
 
-/// One run's header record: what was asked, of what context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunHeader {
-    /// Process-unique run id; every job record carries it back.
-    pub run: u64,
-    /// Simulation-context fingerprint (config + trace + warm sets),
-    /// rendered as the cache layer's 16-hex-digit context id.
-    pub ctx: String,
-    /// Number of queries in the batch.
-    pub queries: u64,
-    /// Worker threads available to the run.
-    pub threads: u64,
-    /// Dynamic instructions in the analyzed trace.
-    pub insts: u64,
-    /// Wall-clock start, milliseconds since the Unix epoch.
-    pub ts_ms: u64,
-    /// Causal trace id (16 hex digits) of the request that caused this
-    /// run; empty for untraced runs. Omitted from the wire when empty
-    /// and defaulted when absent, so pre-tracing ledgers stay readable.
-    /// [`Ledger::append`] stamps it automatically from
-    /// [`crate::causal::current`] when left empty.
-    pub trace: String,
-}
+/// Declares every record kind once: its struct, its `kind` tag and its
+/// members in wire order, each with the [`Codec`] that writes and reads
+/// it. The record structs, [`LedgerRecord`], its encoder, its decoder
+/// and its trace accessors are all generated from this one table, so a
+/// new member is one line and the two directions cannot disagree.
+macro_rules! ledger_records {
+    ($(
+        $(#[$attr:meta])*
+        $variant:ident($record:ident) = $tag:literal {
+            $($(#[$doc:meta])* $field:ident: $ty:ty => $codec:ident,)*
+        }
+    )*) => {
+        $(
+            $(#[$attr])*
+            pub struct $record {
+                $($(#[$doc])* pub $field: $ty,)*
+            }
+        )*
 
-/// One answered simulation job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobRecord {
-    /// The run this job belongs to (see [`RunHeader::run`]).
-    pub run: u64,
-    /// Display form of the idealized event set (e.g. `dmiss+win`).
-    pub set: String,
-    /// Which tier answered: computed, memory, or disk.
-    pub provenance: Provenance,
-    /// Simulated cycles (the cached value for cache-served jobs).
-    pub cycles: u64,
-    /// Wall time to answer this job, in microseconds.
-    pub wall_us: u64,
-    /// Stable fingerprint of `(set, cycles)` — equal answers hash
-    /// equally across runs, machines, and cache tiers.
-    pub hash: String,
-    /// Nonzero pipeline-stall rows of the simulation, name-sorted.
-    /// Empty for cache-served jobs (no simulation ran).
-    pub stalls: BTreeMap<String, u64>,
-    /// Causal trace id (16 hex digits); empty for untraced jobs. See
-    /// [`RunHeader::trace`].
-    pub trace: String,
-}
+        /// One parsed (or to-be-written) ledger line.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum LedgerRecord {
+            $(
+                #[doc = concat!("A `", $tag, "` line.")]
+                $variant($record),
+            )*
+        }
 
-/// One paired graph/sim observation of the same event set under the
-/// same workload context — the raw material the planner's `Calibrator`
-/// fits residual quantiles from. Self-contained on purpose: replay
-/// never has to reconstruct which graph run paired with which sim run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibRecord {
-    /// Ground-truth (simulation) context fingerprint, 16 hex digits.
-    pub sim_ctx: String,
-    /// Graph-oracle context fingerprint (the `"graph"`-tagged id).
-    pub graph_ctx: String,
-    /// Display form of the idealized event set (e.g. `dmiss+win`).
-    pub set: String,
-    /// `cost(set)` as the dependence-graph kernel computed it.
-    pub graph_cost: i64,
-    /// `cost(set)` as ground-truth re-simulation computed it.
-    pub sim_cost: i64,
-}
+        /// Every member name some kind uses, `kind` first; a line's
+        /// members are read into slots by position in this list.
+        const NAMES: &[&str] = &["kind", $($(stringify!($field),)*)*];
 
-/// One planner routing decision: which rung of the escalation ladder
-/// answered a query, and with what confidence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanRecord {
-    /// The plan batch this decision belongs to.
-    pub run: u64,
-    /// Display form of the query (e.g. `icost(dmiss+win)`).
-    pub query: String,
-    /// Which rung answered: `cache`, `graph`, or `sim`.
-    pub backend: String,
-    /// Confidence in the served answer, in per-mille (0..=1000) so the
-    /// wire format stays integer-only and byte-deterministic.
-    pub confidence_pm: u64,
-    /// Why the planner routed there (e.g. `uncalibrated`, `near_zero`).
-    pub reason: String,
-    /// Causal trace id (16 hex digits); empty for untraced decisions.
-    /// See [`RunHeader::trace`].
-    pub trace: String,
-}
-
-/// One retired window of a streaming ingest: the icost breakdown of
-/// the instructions in `[start, end)` as the incremental graph builder
-/// evaluated them behind the ingest frontier. The `costs` map carries
-/// the eight base-category singleton costs; `pairs` carries the
-/// top pairwise interaction costs by magnitude.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowRecord {
-    /// The ingest session (or producer run) this window belongs to.
-    pub run: u64,
-    /// Window ordinal within the session, dense from 0.
-    pub window: u64,
-    /// First stream instruction index of the window (inclusive).
-    pub start: u64,
-    /// Past-the-end stream instruction index of the window.
-    pub end: u64,
-    /// Baseline critical-path cycles `t(∅)` of the window graph.
-    pub baseline: u64,
-    /// Frontier lag: instructions already ingested beyond `end` when
-    /// this window was evaluated.
-    pub lag: u64,
-    /// Wall time to evaluate the window's lattice, in microseconds.
-    pub eval_us: u64,
-    /// Singleton `cost(c)` per base category, name-sorted on the wire.
-    pub costs: BTreeMap<String, i64>,
-    /// Top pairwise `icost(a+b)` values, set-name-sorted on the wire.
-    pub pairs: BTreeMap<String, i64>,
-    /// Causal trace id (16 hex digits); empty for untraced windows.
-    /// See [`RunHeader::trace`].
-    pub trace: String,
-}
-
-/// One batch's `RunReport` summary, so per-client reports stream over
-/// SSE instead of appearing only in `POST /query` response bodies.
-/// Wall-time fields are microseconds; everything else is a count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportRecord {
-    /// Process-unique id tying the report to its batch.
-    pub run: u64,
-    /// Queries answered by the batch.
-    pub queries: u64,
-    /// Simulation jobs the queries expanded into (pre-dedup).
-    pub jobs: u64,
-    /// Jobs eliminated as duplicates within the batch.
-    pub deduped: u64,
-    /// Jobs answered from the in-memory cache.
-    pub cache_hits: u64,
-    /// Jobs answered from the disk cache.
-    pub disk_hits: u64,
-    /// Jobs that actually simulated.
-    pub sims_run: u64,
-    /// Cycles simulated across those jobs.
-    pub cycles: u64,
-    /// Instructions simulated across those jobs.
-    pub insts: u64,
-    /// Worker threads available to the batch.
-    pub threads: u64,
-    /// Wall microseconds spent expanding queries into jobs.
-    pub expand_us: u64,
-    /// Wall microseconds spent simulating (sum over jobs).
-    pub sim_us: u64,
-    /// Idle cycles the discrete-event scheduler skipped across those
-    /// jobs (0 from ticking-engine runs and from pre-scheduler ledgers:
-    /// the parser defaults the field when absent, keeping old ledgers
-    /// readable).
-    pub skipped: u64,
-    /// Causal trace id (16 hex digits); empty for untraced batches.
-    /// See [`RunHeader::trace`].
-    pub trace: String,
-}
-
-/// One attribution audit: the reconciliation of a graph-side icost
-/// breakdown against the simulator's per-cause stall counters for one
-/// analyzed range (a whole run, a query batch, or a retired streaming
-/// window). Self-contained on purpose — the maps carry everything a
-/// renderer needs to reproduce the waterfall byte-for-byte, so the CLI
-/// and `POST /explain` agree without re-deriving anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditRecord {
-    /// The run (or ingest session) this audit belongs to.
-    pub run: u64,
-    /// What range was audited (e.g. `run`, `window 3`, `range 0..512`).
-    pub scope: String,
-    /// Baseline critical-path cycles `t(∅)` of the audited range.
-    pub baseline: u64,
-    /// Per-category share-divergence tolerance, in per-mille.
-    pub tolerance_pm: u64,
-    /// Overall divergence score: total-variation distance between the
-    /// attributed and counter share vectors, in per-mille.
-    pub score_pm: u64,
-    /// Categories whose attribution the counters confirmed.
-    pub confirmed: u64,
-    /// Categories whose attribution the counters refuted.
-    pub refuted: u64,
-    /// Categories with no counter coverage (not checkable).
-    pub unmodeled: u64,
-    /// Overall verdict: `confirmed`, `refuted`, or `unmodeled`.
-    pub verdict: String,
-    /// Overlap-adjusted attributed cycles per category, name-sorted.
-    pub attributed: BTreeMap<String, i64>,
-    /// Mapped stall-counter cycles per checkable category, name-sorted.
-    pub counters: BTreeMap<String, i64>,
-    /// Signed share divergence (attributed − counter) per checkable
-    /// category, in per-mille, name-sorted.
-    pub divergence: BTreeMap<String, i64>,
-    /// Human-readable refuting evidence; empty when nothing refuted.
-    pub evidence: String,
-    /// Causal trace id (16 hex digits); empty for untraced audits.
-    /// See [`RunHeader::trace`].
-    pub trace: String,
-}
-
-/// One parsed (or to-be-written) ledger line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LedgerRecord {
-    /// A run header.
-    Run(RunHeader),
-    /// A job record.
-    Job(JobRecord),
-    /// A paired graph/sim calibration observation.
-    Calib(CalibRecord),
-    /// A planner routing decision.
-    Plan(PlanRecord),
-    /// A retired streaming-ingest window breakdown.
-    Window(WindowRecord),
-    /// A per-batch `RunReport` summary.
-    Report(ReportRecord),
-    /// A counter-vs-graph attribution audit.
-    Audit(AuditRecord),
-}
-
-impl LedgerRecord {
-    /// Serialize as one JSONL line (no trailing newline). Field order
-    /// is fixed; this string is the stable wire format the CLI and the
-    /// golden tests parse.
-    pub fn to_json_line(&self) -> String {
-        match self {
-            LedgerRecord::Run(h) => format!(
-                "{{\"kind\":\"run\",\"run\":{},\"ctx\":{},\"queries\":{},\"threads\":{},\"insts\":{},\"ts_ms\":{}{}}}",
-                h.run,
-                quote(&h.ctx),
-                h.queries,
-                h.threads,
-                h.insts,
-                h.ts_ms,
-                trace_suffix(&h.trace),
-            ),
-            LedgerRecord::Job(j) => {
-                let mut line = format!(
-                    "{{\"kind\":\"job\",\"run\":{},\"set\":{},\"provenance\":\"{}\",\"cycles\":{},\"wall_us\":{},\"hash\":{}",
-                    j.run,
-                    quote(&j.set),
-                    j.provenance.as_str(),
-                    j.cycles,
-                    j.wall_us,
-                    quote(&j.hash),
-                );
-                if !j.stalls.is_empty() {
-                    line.push_str(",\"stalls\":{");
-                    for (i, (name, v)) in j.stalls.iter().enumerate() {
-                        // BTreeMap iteration keeps the wire format
-                        // name-sorted and therefore deterministic.
-                        if i > 0 {
-                            line.push(',');
-                        }
-                        line.push_str(&format!("{}:{v}", quote(name)));
-                    }
-                    line.push('}');
+        impl LedgerRecord {
+            /// Serialize as one JSONL line (no trailing newline). Member
+            /// order is fixed; this string is the stable wire format the
+            /// CLI and the golden tests parse.
+            pub fn to_json_line(&self) -> String {
+                let mut out = String::with_capacity(256);
+                match self {
+                    $(LedgerRecord::$variant(r) => {
+                        out.push_str(concat!("{\"kind\":\"", $tag, "\""));
+                        $($codec::encode(concat!(",\"", stringify!($field), "\":"), &r.$field, &mut out);)*
+                    })*
                 }
-                line.push_str(&trace_suffix(&j.trace));
-                line.push('}');
-                line
+                out.push('}');
+                out
             }
-            LedgerRecord::Calib(c) => format!(
-                "{{\"kind\":\"calib\",\"sim_ctx\":{},\"graph_ctx\":{},\"set\":{},\"graph_cost\":{},\"sim_cost\":{}}}",
-                quote(&c.sim_ctx),
-                quote(&c.graph_ctx),
-                quote(&c.set),
-                c.graph_cost,
-                c.sim_cost,
-            ),
-            LedgerRecord::Plan(p) => format!(
-                "{{\"kind\":\"plan\",\"run\":{},\"query\":{},\"backend\":{},\"confidence_pm\":{},\"reason\":{}{}}}",
-                p.run,
-                quote(&p.query),
-                quote(&p.backend),
-                p.confidence_pm,
-                quote(&p.reason),
-                trace_suffix(&p.trace),
-            ),
-            LedgerRecord::Window(w) => format!(
-                "{{\"kind\":\"window\",\"run\":{},\"window\":{},\"start\":{},\"end\":{},\"baseline\":{},\"lag\":{},\"eval_us\":{},\"costs\":{},\"pairs\":{}{}}}",
-                w.run,
-                w.window,
-                w.start,
-                w.end,
-                w.baseline,
-                w.lag,
-                w.eval_us,
-                render_i64_map(&w.costs),
-                render_i64_map(&w.pairs),
-                trace_suffix(&w.trace),
-            ),
-            LedgerRecord::Audit(a) => format!(
-                "{{\"kind\":\"audit\",\"run\":{},\"scope\":{},\"baseline\":{},\"tolerance_pm\":{},\"score_pm\":{},\"confirmed\":{},\"refuted\":{},\"unmodeled\":{},\"verdict\":{},\"attributed\":{},\"counters\":{},\"divergence\":{},\"evidence\":{}{}}}",
-                a.run,
-                quote(&a.scope),
-                a.baseline,
-                a.tolerance_pm,
-                a.score_pm,
-                a.confirmed,
-                a.refuted,
-                a.unmodeled,
-                quote(&a.verdict),
-                render_i64_map(&a.attributed),
-                render_i64_map(&a.counters),
-                render_i64_map(&a.divergence),
-                quote(&a.evidence),
-                trace_suffix(&a.trace),
-            ),
-            LedgerRecord::Report(r) => format!(
-                "{{\"kind\":\"report\",\"run\":{},\"queries\":{},\"jobs\":{},\"deduped\":{},\"cache_hits\":{},\"disk_hits\":{},\"sims_run\":{},\"cycles\":{},\"insts\":{},\"threads\":{},\"expand_us\":{},\"sim_us\":{},\"skipped\":{}{}}}",
-                r.run,
-                r.queries,
-                r.jobs,
-                r.deduped,
-                r.cache_hits,
-                r.disk_hits,
-                r.sims_run,
-                r.cycles,
-                r.insts,
-                r.threads,
-                r.expand_us,
-                r.sim_us,
-                r.skipped,
-                trace_suffix(&r.trace),
-            ),
-        }
-    }
 
-    /// The causal trace id stamped on this record, if its kind carries
-    /// one (`Some("")` = carries the field but unstamped; `None` =
-    /// calib records, which are context-keyed, not request-caused).
-    pub fn trace(&self) -> Option<&str> {
-        match self {
-            LedgerRecord::Run(h) => Some(&h.trace),
-            LedgerRecord::Job(j) => Some(&j.trace),
-            LedgerRecord::Calib(_) => None,
-            LedgerRecord::Plan(p) => Some(&p.trace),
-            LedgerRecord::Window(w) => Some(&w.trace),
-            LedgerRecord::Report(r) => Some(&r.trace),
-            LedgerRecord::Audit(a) => Some(&a.trace),
-        }
-    }
+            /// The causal trace id stamped on this record, if its kind
+            /// carries one (`Some("")` = carries the field but unstamped;
+            /// `None` = calib records, which are context-keyed, not
+            /// request-caused).
+            pub fn trace(&self) -> Option<&str> {
+                match self {
+                    $(LedgerRecord::$variant(r) => None$(.or($codec::trace(&r.$field)))*,)*
+                }
+            }
 
-    /// Set the causal trace id (no-op for kinds without the field).
-    pub fn set_trace(&mut self, trace: &str) {
-        match self {
-            LedgerRecord::Run(h) => h.trace = trace.to_string(),
-            LedgerRecord::Job(j) => j.trace = trace.to_string(),
-            LedgerRecord::Calib(_) => {}
-            LedgerRecord::Plan(p) => p.trace = trace.to_string(),
-            LedgerRecord::Window(w) => w.trace = trace.to_string(),
-            LedgerRecord::Report(r) => r.trace = trace.to_string(),
-            LedgerRecord::Audit(a) => a.trace = trace.to_string(),
-        }
-    }
+            /// Set the causal trace id (no-op for kinds without the field).
+            pub fn set_trace(&mut self, trace: &str) {
+                match self {
+                    $(LedgerRecord::$variant(r) => {$($codec::set_trace(&mut r.$field, trace);)*})*
+                }
+            }
 
-    /// Parse one JSONL line back into a record.
-    pub fn parse(line: &str) -> Result<LedgerRecord, String> {
-        let doc = json::parse(line)?;
-        let kind = doc
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("missing \"kind\"")?;
-        match kind {
-            "run" => Ok(LedgerRecord::Run(RunHeader {
-                run: field_u64(&doc, "run")?,
-                ctx: field_str(&doc, "ctx")?,
-                queries: field_u64(&doc, "queries")?,
-                threads: field_u64(&doc, "threads")?,
-                insts: field_u64(&doc, "insts")?,
-                ts_ms: field_u64(&doc, "ts_ms")?,
-                trace: field_trace(&doc),
-            })),
-            "job" => {
-                let stalls = match doc.get("stalls") {
-                    None => BTreeMap::new(),
-                    Some(v) => v
-                        .as_obj()
-                        .ok_or("\"stalls\" is not an object")?
-                        .iter()
-                        .map(|(k, v)| {
-                            as_u64(v)
-                                .map(|n| (k.clone(), n))
-                                .ok_or_else(|| format!("stall {k:?} is not a count"))
-                        })
-                        .collect::<Result<_, _>>()?,
+            /// Parse one JSONL line back into a record. The whole line is
+            /// read first, so a JSON syntax error anywhere outranks a
+            /// missing or wrong-typed member; member errors then come in
+            /// wire order. Unknown members are skipped (still
+            /// syntax-checked) and a later duplicate member wins.
+            pub fn parse(line: &str) -> Result<LedgerRecord, String> {
+                let members = Members::read(line)?;
+                let Some(Slot::Str(kind)) = members.get("kind") else {
+                    return Err("missing \"kind\"".into());
                 };
-                Ok(LedgerRecord::Job(JobRecord {
-                    run: field_u64(&doc, "run")?,
-                    set: field_str(&doc, "set")?,
-                    provenance: Provenance::parse(&field_str(&doc, "provenance")?)?,
-                    cycles: field_u64(&doc, "cycles")?,
-                    wall_us: field_u64(&doc, "wall_us")?,
-                    hash: field_str(&doc, "hash")?,
-                    stalls,
-                    trace: field_trace(&doc),
-                }))
+                match &**kind {
+                    $($tag => Ok(LedgerRecord::$variant($record {
+                        $($field: $codec::decode(stringify!($field), members.get(stringify!($field)))?,)*
+                    })),)*
+                    other => Err(format!("unknown record kind {other:?}")),
+                }
             }
-            "calib" => Ok(LedgerRecord::Calib(CalibRecord {
-                sim_ctx: field_str(&doc, "sim_ctx")?,
-                graph_ctx: field_str(&doc, "graph_ctx")?,
-                set: field_str(&doc, "set")?,
-                graph_cost: field_i64(&doc, "graph_cost")?,
-                sim_cost: field_i64(&doc, "sim_cost")?,
-            })),
-            "plan" => Ok(LedgerRecord::Plan(PlanRecord {
-                run: field_u64(&doc, "run")?,
-                query: field_str(&doc, "query")?,
-                backend: field_str(&doc, "backend")?,
-                confidence_pm: field_u64(&doc, "confidence_pm")?,
-                reason: field_str(&doc, "reason")?,
-                trace: field_trace(&doc),
-            })),
-            "window" => Ok(LedgerRecord::Window(WindowRecord {
-                run: field_u64(&doc, "run")?,
-                window: field_u64(&doc, "window")?,
-                start: field_u64(&doc, "start")?,
-                end: field_u64(&doc, "end")?,
-                baseline: field_u64(&doc, "baseline")?,
-                lag: field_u64(&doc, "lag")?,
-                eval_us: field_u64(&doc, "eval_us")?,
-                costs: field_i64_map(&doc, "costs")?,
-                pairs: field_i64_map(&doc, "pairs")?,
-                trace: field_trace(&doc),
-            })),
-            "audit" => Ok(LedgerRecord::Audit(AuditRecord {
-                run: field_u64(&doc, "run")?,
-                scope: field_str(&doc, "scope")?,
-                baseline: field_u64(&doc, "baseline")?,
-                tolerance_pm: field_u64(&doc, "tolerance_pm")?,
-                score_pm: field_u64(&doc, "score_pm")?,
-                confirmed: field_u64(&doc, "confirmed")?,
-                refuted: field_u64(&doc, "refuted")?,
-                unmodeled: field_u64(&doc, "unmodeled")?,
-                verdict: field_str(&doc, "verdict")?,
-                attributed: field_i64_map(&doc, "attributed")?,
-                counters: field_i64_map(&doc, "counters")?,
-                divergence: field_i64_map(&doc, "divergence")?,
-                evidence: field_str(&doc, "evidence")?,
-                trace: field_trace(&doc),
-            })),
-            "report" => Ok(LedgerRecord::Report(ReportRecord {
-                run: field_u64(&doc, "run")?,
-                queries: field_u64(&doc, "queries")?,
-                jobs: field_u64(&doc, "jobs")?,
-                deduped: field_u64(&doc, "deduped")?,
-                cache_hits: field_u64(&doc, "cache_hits")?,
-                disk_hits: field_u64(&doc, "disk_hits")?,
-                sims_run: field_u64(&doc, "sims_run")?,
-                cycles: field_u64(&doc, "cycles")?,
-                insts: field_u64(&doc, "insts")?,
-                threads: field_u64(&doc, "threads")?,
-                expand_us: field_u64(&doc, "expand_us")?,
-                sim_us: field_u64(&doc, "sim_us")?,
-                // Absent in pre-scheduler ledgers; default rather than
-                // reject so old files stay parseable.
-                skipped: match doc.get("skipped") {
-                    None => 0,
-                    Some(_) => field_u64(&doc, "skipped")?,
-                },
-                trace: field_trace(&doc),
-            })),
-            other => Err(format!("unknown record kind {other:?}")),
         }
+    };
+}
+
+ledger_records! {
+    /// One run's header record: what was asked, of what context.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Run(RunHeader) = "run" {
+        /// Process-unique run id; every job record carries it back.
+        run: u64 => Count,
+        /// Simulation-context fingerprint (config + trace + warm sets),
+        /// rendered as the cache layer's 16-hex-digit context id.
+        ctx: String => Text,
+        /// Number of queries in the batch.
+        queries: u64 => Count,
+        /// Worker threads available to the run.
+        threads: u64 => Count,
+        /// Dynamic instructions in the analyzed trace.
+        insts: u64 => Count,
+        /// Wall-clock start, milliseconds since the Unix epoch.
+        ts_ms: u64 => Count,
+        /// Causal trace id (16 hex digits) of the request that caused this
+        /// run; empty for untraced runs. Omitted from the wire when empty
+        /// and defaulted when absent, so pre-tracing ledgers stay readable.
+        /// [`Ledger::append`] stamps it automatically from
+        /// [`crate::causal::current`] when left empty.
+        trace: String => Trace,
+    }
+
+    /// One answered simulation job.
+    #[derive(Debug, Clone, PartialEq)]
+    Job(JobRecord) = "job" {
+        /// The run this job belongs to (see [`RunHeader::run`]).
+        run: u64 => Count,
+        /// Display form of the idealized event set (e.g. `dmiss+win`).
+        set: String => Text,
+        /// Which tier answered: computed, memory, or disk.
+        provenance: Provenance => Tier,
+        /// Simulated cycles (the cached value for cache-served jobs).
+        cycles: u64 => Count,
+        /// Wall time to answer this job, in microseconds.
+        wall_us: u64 => Count,
+        /// Stable fingerprint of `(set, cycles)` — equal answers hash
+        /// equally across runs, machines, and cache tiers.
+        hash: String => Text,
+        /// Nonzero pipeline-stall rows of the simulation, name-sorted.
+        /// Empty for cache-served jobs (no simulation ran).
+        stalls: BTreeMap<String, u64> => CountMap,
+        /// Causal trace id (16 hex digits); empty for untraced jobs. See
+        /// [`RunHeader::trace`].
+        trace: String => Trace,
+    }
+
+    /// One paired graph/sim observation of the same event set under the
+    /// same workload context — the raw material the planner's `Calibrator`
+    /// fits residual quantiles from. Self-contained on purpose: replay
+    /// never has to reconstruct which graph run paired with which sim run.
+    #[derive(Debug, Clone, PartialEq)]
+    Calib(CalibRecord) = "calib" {
+        /// Ground-truth (simulation) context fingerprint, 16 hex digits.
+        sim_ctx: String => Text,
+        /// Graph-oracle context fingerprint (the `"graph"`-tagged id).
+        graph_ctx: String => Text,
+        /// Display form of the idealized event set (e.g. `dmiss+win`).
+        set: String => Text,
+        /// `cost(set)` as the dependence-graph kernel computed it.
+        graph_cost: i64 => Int,
+        /// `cost(set)` as ground-truth re-simulation computed it.
+        sim_cost: i64 => Int,
+    }
+
+    /// One planner routing decision: which rung of the escalation ladder
+    /// answered a query, and with what confidence.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Plan(PlanRecord) = "plan" {
+        /// The plan batch this decision belongs to.
+        run: u64 => Count,
+        /// Display form of the query (e.g. `icost(dmiss+win)`).
+        query: String => Text,
+        /// Which rung answered: `cache`, `graph`, or `sim`.
+        backend: String => Text,
+        /// Confidence in the served answer, in per-mille (0..=1000) so the
+        /// wire format stays integer-only and byte-deterministic.
+        confidence_pm: u64 => Count,
+        /// Why the planner routed there (e.g. `uncalibrated`, `near_zero`).
+        reason: String => Text,
+        /// Causal trace id (16 hex digits); empty for untraced decisions.
+        /// See [`RunHeader::trace`].
+        trace: String => Trace,
+    }
+
+    /// One retired window of a streaming ingest: the icost breakdown of
+    /// the instructions in `[start, end)` as the incremental graph builder
+    /// evaluated them behind the ingest frontier. The `costs` map carries
+    /// the eight base-category singleton costs; `pairs` carries the
+    /// top pairwise interaction costs by magnitude.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Window(WindowRecord) = "window" {
+        /// The ingest session (or producer run) this window belongs to.
+        run: u64 => Count,
+        /// Window ordinal within the session, dense from 0.
+        window: u64 => Count,
+        /// First stream instruction index of the window (inclusive).
+        start: u64 => Count,
+        /// Past-the-end stream instruction index of the window.
+        end: u64 => Count,
+        /// Baseline critical-path cycles `t(∅)` of the window graph.
+        baseline: u64 => Count,
+        /// Frontier lag: instructions already ingested beyond `end` when
+        /// this window was evaluated.
+        lag: u64 => Count,
+        /// Wall time to evaluate the window's lattice, in microseconds.
+        eval_us: u64 => Count,
+        /// Singleton `cost(c)` per base category, name-sorted on the wire.
+        costs: BTreeMap<String, i64> => IntMap,
+        /// Top pairwise `icost(a+b)` values, set-name-sorted on the wire.
+        pairs: BTreeMap<String, i64> => IntMap,
+        /// Causal trace id (16 hex digits); empty for untraced windows.
+        /// See [`RunHeader::trace`].
+        trace: String => Trace,
+    }
+
+    /// One batch's `RunReport` summary, so per-client reports stream over
+    /// SSE instead of appearing only in `POST /query` response bodies.
+    /// Wall-time fields are microseconds; everything else is a count.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Report(ReportRecord) = "report" {
+        /// Process-unique id tying the report to its batch.
+        run: u64 => Count,
+        /// Queries answered by the batch.
+        queries: u64 => Count,
+        /// Simulation jobs the queries expanded into (pre-dedup).
+        jobs: u64 => Count,
+        /// Jobs eliminated as duplicates within the batch.
+        deduped: u64 => Count,
+        /// Jobs answered from the in-memory cache.
+        cache_hits: u64 => Count,
+        /// Jobs answered from the disk cache.
+        disk_hits: u64 => Count,
+        /// Jobs that actually simulated.
+        sims_run: u64 => Count,
+        /// Cycles simulated across those jobs.
+        cycles: u64 => Count,
+        /// Instructions simulated across those jobs.
+        insts: u64 => Count,
+        /// Worker threads available to the batch.
+        threads: u64 => Count,
+        /// Wall microseconds spent expanding queries into jobs.
+        expand_us: u64 => Count,
+        /// Wall microseconds spent simulating (sum over jobs).
+        sim_us: u64 => Count,
+        /// Idle cycles the discrete-event scheduler skipped across those
+        /// jobs (0 from ticking-engine runs and from pre-scheduler ledgers:
+        /// the parser defaults the field when absent, keeping old ledgers
+        /// readable).
+        skipped: u64 => CountOr0,
+        /// Causal trace id (16 hex digits); empty for untraced batches.
+        /// See [`RunHeader::trace`].
+        trace: String => Trace,
+    }
+
+    /// One attribution audit: the reconciliation of a graph-side icost
+    /// breakdown against the simulator's per-cause stall counters for one
+    /// analyzed range (a whole run, a query batch, or a retired streaming
+    /// window). Self-contained on purpose — the maps carry everything a
+    /// renderer needs to reproduce the waterfall byte-for-byte, so the CLI
+    /// and `POST /explain` agree without re-deriving anything.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Audit(AuditRecord) = "audit" {
+        /// The run (or ingest session) this audit belongs to.
+        run: u64 => Count,
+        /// What range was audited (e.g. `run`, `window 3`, `range 0..512`).
+        scope: String => Text,
+        /// Baseline critical-path cycles `t(∅)` of the audited range.
+        baseline: u64 => Count,
+        /// Per-category share-divergence tolerance, in per-mille.
+        tolerance_pm: u64 => Count,
+        /// Overall divergence score: total-variation distance between the
+        /// attributed and counter share vectors, in per-mille.
+        score_pm: u64 => Count,
+        /// Categories whose attribution the counters confirmed.
+        confirmed: u64 => Count,
+        /// Categories whose attribution the counters refuted.
+        refuted: u64 => Count,
+        /// Categories with no counter coverage (not checkable).
+        unmodeled: u64 => Count,
+        /// Overall verdict: `confirmed`, `refuted`, or `unmodeled`.
+        verdict: String => Text,
+        /// Overlap-adjusted attributed cycles per category, name-sorted.
+        attributed: BTreeMap<String, i64> => IntMap,
+        /// Mapped stall-counter cycles per checkable category, name-sorted.
+        counters: BTreeMap<String, i64> => IntMap,
+        /// Signed share divergence (attributed − counter) per checkable
+        /// category, in per-mille, name-sorted.
+        divergence: BTreeMap<String, i64> => IntMap,
+        /// Human-readable refuting evidence; empty when nothing refuted.
+        evidence: String => Text,
+        /// Causal trace id (16 hex digits); empty for untraced audits.
+        /// See [`RunHeader::trace`].
+        trace: String => Trace,
     }
 }
 
-/// Render the optional trailing `"trace"` field: empty traces render
-/// nothing, keeping pre-tracing wire strings byte-identical.
-fn trace_suffix(trace: &str) -> String {
-    if trace.is_empty() {
-        String::new()
-    } else {
-        format!(",\"trace\":{}", quote(trace))
-    }
+/// A member value as read, before the line's kind says what it must be.
+enum Slot<'a> {
+    /// A number, if it is an integer the wire carries exactly (see
+    /// [`exact`]).
+    Int(Option<i64>),
+    Str(Cow<'a, str>),
+    /// An object's members, each a [`Slot::Int`] value (anything but a
+    /// number reads as `None`); a later duplicate key replaces an
+    /// earlier one.
+    Obj(BTreeMap<Cow<'a, str>, Option<i64>>),
+    /// `null`, a bool or an array: never valid, only syntax-checked.
+    Other,
 }
 
-/// Parse the optional `"trace"` field: absent (pre-tracing ledgers) or
-/// non-string values default to empty rather than erroring.
-fn field_trace(doc: &Value) -> String {
-    field_str(doc, "trace").unwrap_or_default()
-}
-
-/// Render a name→i64 map as a JSON object; `BTreeMap` iteration keeps
-/// the wire format name-sorted and therefore byte-deterministic.
-fn render_i64_map(map: &BTreeMap<String, i64>) -> String {
-    let mut out = String::from("{");
-    for (i, (name, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{v}", quote(name)));
-    }
-    out.push('}');
-    out
-}
-
-fn field_i64_map(doc: &Value, name: &str) -> Result<BTreeMap<String, i64>, String> {
-    doc.get(name)
-        .and_then(Value::as_obj)
-        .ok_or_else(|| format!("missing or non-object {name:?}"))?
-        .iter()
-        .map(|(k, v)| {
-            as_i64(v)
-                .map(|n| (k.clone(), n))
-                .ok_or_else(|| format!("{name:?} entry {k:?} is not an integer"))
+impl<'a> Slot<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Slot<'a>, String> {
+        Ok(match r.peek_kind()? {
+            Kind::Num => Slot::Int(exact(r.number()?)),
+            Kind::Str => Slot::Str(r.string()?),
+            Kind::Obj => {
+                let mut map = BTreeMap::new();
+                r.object(|r, key| {
+                    let value = match r.peek_kind()? {
+                        Kind::Num => exact(r.number()?),
+                        _ => r.skip().map(|()| None)?,
+                    };
+                    map.insert(key, value);
+                    Ok(())
+                })?;
+                Slot::Obj(map)
+            }
+            Kind::Null | Kind::Bool | Kind::Arr => r.skip().map(|()| Slot::Other)?,
         })
-        .collect()
+    }
 }
 
 /// An integer the wire carries exactly: a JSON number with no fraction
 /// within f64's 2^53 integer precision. Anything else — `0.5`, `1e400`,
 /// a 20-digit id — would be silently rounded or saturated by a cast.
-fn as_i64(v: &Value) -> Option<i64> {
-    let n = v.as_num()?;
+fn exact(n: f64) -> Option<i64> {
     (n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0).then_some(n as i64)
 }
 
-/// A non-negative [`as_i64`].
-fn as_u64(v: &Value) -> Option<u64> {
-    as_i64(v).and_then(|n| u64::try_from(n).ok())
+/// The members of one line that some kind names, by position in
+/// [`NAMES`], as read.
+struct Members<'a>([Option<Slot<'a>>; NAMES.len()]);
+
+impl<'a> Members<'a> {
+    /// Read the whole line; only a JSON syntax error fails. A line that
+    /// is not an object has no members.
+    fn read(line: &'a str) -> Result<Members<'a>, String> {
+        let mut members = Members([const { None }; NAMES.len()]);
+        let mut r = Reader::new(line);
+        if r.peek_kind()? == Kind::Obj {
+            r.object(|r, key| {
+                match NAMES.iter().position(|name| *name == key) {
+                    Some(i) => members.0[i] = Some(Slot::read(r)?),
+                    None => r.skip()?,
+                }
+                Ok(())
+            })?;
+        } else {
+            r.skip()?;
+        }
+        r.finish()?;
+        Ok(members)
+    }
+
+    fn get(&self, name: &str) -> Option<&Slot<'a>> {
+        let i = NAMES.iter().position(|n| *n == name)?;
+        self.0[i].as_ref()
+    }
 }
 
-fn field_u64(doc: &Value, name: &str) -> Result<u64, String> {
-    doc.get(name)
-        .and_then(as_u64)
-        .ok_or_else(|| format!("missing or non-count {name:?}"))
+/// How one member travels: what [`LedgerRecord::to_json_line`] writes
+/// and how [`LedgerRecord::parse`] decodes the slot read under its name.
+trait Codec {
+    type Value;
+    /// Append `key` (`,"name":`) and the value, or nothing to leave the
+    /// member off the wire.
+    fn encode(key: &str, value: &Self::Value, out: &mut String);
+    /// Decode member `name` from its slot (`None` when absent).
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<Self::Value, String>;
+    /// The causal trace id, if this member is one.
+    fn trace(_: &Self::Value) -> Option<&str> {
+        None
+    }
+    /// Stamp the causal trace id, if this member is one.
+    fn set_trace(_: &mut Self::Value, _: &str) {}
 }
 
-fn field_i64(doc: &Value, name: &str) -> Result<i64, String> {
-    doc.get(name)
-        .and_then(as_i64)
-        .ok_or_else(|| format!("missing or non-integer {name:?}"))
+/// An exact integer that fits `T`: see [`exact`].
+struct Exact<T>(PhantomData<T>);
+/// A non-negative [`Exact`] integer.
+type Count = Exact<u64>;
+/// A [`Count`] that older ledgers lack: absent reads as 0, so they stay
+/// parseable.
+struct CountOr0;
+/// An [`Exact`] integer of either sign.
+type Int = Exact<i64>;
+/// A string.
+struct Text;
+/// A [`Provenance`] wire name.
+struct Tier;
+/// A name→count map, left off the wire when empty.
+struct CountMap;
+/// A name→integer map, written even when empty so the member always
+/// exists.
+struct IntMap;
+/// The causal trace id: left off the wire when empty, and read as empty
+/// when absent or not a string, so pre-tracing ledgers stay readable.
+struct Trace;
+
+impl<T: TryFrom<i64> + Display> Codec for Exact<T> {
+    type Value = T;
+    fn encode(key: &str, value: &T, out: &mut String) {
+        let _ = write!(out, "{key}{value}");
+    }
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<T, String> {
+        match slot {
+            Some(&Slot::Int(Some(n))) => T::try_from(n).ok(),
+            _ => None,
+        }
+        .ok_or_else(|| format!("missing or non-{} {name:?}", type_name::<T>()))
+    }
 }
 
-fn field_str(doc: &Value, name: &str) -> Result<String, String> {
-    doc.get(name)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string {name:?}"))
+impl Codec for CountOr0 {
+    type Value = u64;
+    fn encode(key: &str, value: &u64, out: &mut String) {
+        Count::encode(key, value, out);
+    }
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<u64, String> {
+        slot.map_or(Ok(0), |_| Count::decode(name, slot))
+    }
+}
+
+impl Codec for Text {
+    type Value = String;
+    fn encode(key: &str, value: &String, out: &mut String) {
+        out.push_str(key);
+        out.push_str(&quote(value));
+    }
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<String, String> {
+        match slot {
+            Some(Slot::Str(s)) => Ok(s.to_string()),
+            _ => Err(format!("missing or non-string {name:?}")),
+        }
+    }
+}
+
+impl Codec for Tier {
+    type Value = Provenance;
+    fn encode(key: &str, value: &Provenance, out: &mut String) {
+        let _ = write!(out, "{key}\"{}\"", value.as_str());
+    }
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<Provenance, String> {
+        Provenance::parse(&Text::decode(name, slot)?)
+    }
+}
+
+impl Codec for CountMap {
+    type Value = BTreeMap<String, u64>;
+    fn encode(key: &str, value: &Self::Value, out: &mut String) {
+        if !value.is_empty() {
+            encode_map(key, value, out);
+        }
+    }
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<Self::Value, String> {
+        slot.map_or(Ok(BTreeMap::new()), |_| decode_map(name, slot))
+    }
+}
+
+impl Codec for IntMap {
+    type Value = BTreeMap<String, i64>;
+    fn encode(key: &str, value: &Self::Value, out: &mut String) {
+        encode_map(key, value, out);
+    }
+    fn decode(name: &str, slot: Option<&Slot<'_>>) -> Result<Self::Value, String> {
+        decode_map(name, slot)
+    }
+}
+
+impl Codec for Trace {
+    type Value = String;
+    fn encode(key: &str, value: &String, out: &mut String) {
+        if !value.is_empty() {
+            Text::encode(key, value, out);
+        }
+    }
+    fn decode(_: &str, slot: Option<&Slot<'_>>) -> Result<String, String> {
+        Ok(match slot {
+            Some(Slot::Str(s)) => s.to_string(),
+            _ => String::new(),
+        })
+    }
+    fn trace(value: &String) -> Option<&str> {
+        Some(value)
+    }
+    fn set_trace(value: &mut String, trace: &str) {
+        *value = trace.to_string();
+    }
+}
+
+/// Write a map as a JSON object; `BTreeMap` iteration keeps the wire
+/// format name-sorted and therefore byte-deterministic.
+fn encode_map<T: Display>(key: &str, map: &BTreeMap<String, T>, out: &mut String) {
+    out.push_str(key);
+    out.push('{');
+    for (i, (name, value)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&quote(name));
+        let _ = write!(out, ":{value}");
+    }
+    out.push('}');
+}
+
+/// Decode map member `name`, naming the first entry (by key) whose
+/// value is not an [`Exact`] `T`.
+fn decode_map<T: TryFrom<i64>>(
+    name: &str,
+    slot: Option<&Slot<'_>>,
+) -> Result<BTreeMap<String, T>, String> {
+    let Some(Slot::Obj(map)) = slot else {
+        return Err(format!("missing or non-object {name:?}"));
+    };
+    map.iter()
+        .map(|(k, v)| match v.map(T::try_from) {
+            Some(Ok(n)) => Ok((k.to_string(), n)),
+            _ => Err(format!(
+                "{name:?} entry {k:?} is not an exact {}",
+                type_name::<T>()
+            )),
+        })
+        .collect()
 }
 
 /// Parse a whole ledger document (one record per non-empty line).

@@ -441,14 +441,13 @@ impl<'a> Planner<'a> {
         )
     }
 
-    fn graph_oracle(&self, cache: SimCache) -> CachedOracle<LatticeGraphOracle<'a>> {
+    fn graph_oracle(&self) -> CachedOracle<LatticeGraphOracle<'a>> {
         let graph = self.graph;
         let baseline = *self
             .graph_baseline
             .get_or_init(|| graph.evaluate(EventSet::EMPTY));
-        let inner = LatticeGraphOracle::for_context(graph, self.graph_ctx, baseline)
-            .with_threads(self.runner.threads());
-        CachedOracle::new(inner, self.graph_ctx, cache)
+        self.runner
+            .graph_oracle_for(graph, self.graph_ctx, baseline)
     }
 
     /// Read `cost(set)` for both contexts out of the cache, if both
@@ -499,7 +498,7 @@ impl<'a> Planner<'a> {
     /// residual observations.
     pub fn calibrate(&mut self, sets: &[EventSet]) -> usize {
         let cache = self.runner.cache().clone();
-        let mut graph_oracle = self.graph_oracle(cache.clone());
+        let mut graph_oracle = self.graph_oracle();
         graph_oracle.prefetch(sets);
         for &set in sets {
             let _ = graph_oracle.cost(set);
@@ -553,7 +552,7 @@ impl<'a> Planner<'a> {
         let mut graph_values = vec![0i64; queries.len()];
         let mut graph_report = None;
         if !pending.is_empty() && !refuted {
-            let mut graph_oracle = self.graph_oracle(cache.clone());
+            let mut graph_oracle = self.graph_oracle();
             let wanted: Vec<EventSet> = pending
                 .iter()
                 .flat_map(|&i| queries[i].required_sets())

@@ -9,8 +9,6 @@
 //! one parallel wave, and answers every query from the resulting cache.
 
 use std::collections::HashSet;
-use std::io;
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 use icost::{icost, icost_of_sets, CostOracle};
@@ -146,16 +144,6 @@ impl Runner {
     pub fn with_threads(mut self, threads: usize) -> Runner {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Persist simulation results under `dir` so later processes reuse
-    /// them (see [`SimCache::with_disk`]).
-    pub fn with_disk_cache(self, dir: impl Into<PathBuf>) -> io::Result<Runner> {
-        Ok(Runner {
-            threads: self.threads,
-            cache: SimCache::with_disk(dir)?,
-            audit: self.audit,
-        })
     }
 
     /// Adopt an existing cache handle (e.g. one shared across several

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use icost::{icost, icost_of_sets, CostOracle};
+use icost::CostOracle;
 use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::json::{self, Value};
@@ -720,14 +720,7 @@ impl ServeHost {
                 .graph_oracle_for(&self.graph, self.graph_context(), self.graph_baseline());
         let wanted: Vec<EventSet> = queries.iter().flat_map(Query::required_sets).collect();
         oracle.prefetch(&wanted);
-        let answers = queries
-            .iter()
-            .map(|q| match q {
-                Query::Cost(s) => oracle.cost(*s),
-                Query::Icost(u) => icost(&mut oracle, *u),
-                Query::IcostOfUnits(units) => icost_of_sets(&mut oracle, units),
-            })
-            .collect();
+        let answers = queries.iter().map(|q| q.answer(&mut oracle)).collect();
         let report = oracle.report().clone();
         let inner = oracle.into_inner();
         self.graph_registry

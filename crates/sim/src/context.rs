@@ -91,9 +91,9 @@ impl<'a> SimContext<'a> {
     /// stall counters and engine telemetry, exactly as a records-keeping
     /// run reports them, without allocating or writing per-instruction
     /// records. This is what a `cost(S)` query needs. Uses
-    /// [`EngineMode::from_env`].
+    /// [`EngineMode::Events`].
     pub fn totals(&self, ideal: Idealization) -> SimTotals {
-        self.totals_with_mode(ideal, EngineMode::from_env())
+        self.totals_with_mode(ideal, EngineMode::Events)
     }
 
     /// [`SimContext::totals`] under an explicit run loop.
@@ -136,14 +136,13 @@ impl<'a> SimContext<'a> {
     /// [`SimContext::totals`] of a context used once (see
     /// [`SimContext::into_run`]).
     pub(crate) fn into_totals(self, ideal: Idealization) -> SimTotals {
-        let mode = EngineMode::from_env();
         simulate(
             self.config,
             self.trace,
             &self.mispredicted,
             self.mem,
             ideal,
-            mode,
+            EngineMode::Events,
             Discard,
         )
         .0

@@ -33,7 +33,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
 
 use crate::cache::{MemSystem, MissLevel};
 use crate::context::SimContext;
@@ -75,11 +74,6 @@ impl Hasher for LineHasher {
     }
 }
 
-/// Environment variable selecting the run loop: `ticking` (or `cycle`)
-/// forces the cycle-ticking reference engine; anything else — including
-/// unset — selects the discrete-event scheduler.
-pub const SIM_ENGINE_ENV: &str = "ICOST_SIM_ENGINE";
-
 /// Which run loop drives the simulation. Both produce bit-identical
 /// [`SimResult`]s (cycles, records, counts, stalls); the event-driven
 /// loop skips idle cycles instead of ticking through them.
@@ -90,17 +84,6 @@ pub enum EngineMode {
     /// Jump over idle cycles with next-event computation (default).
     #[default]
     Events,
-}
-
-impl EngineMode {
-    /// The process-wide default, resolved once from [`SIM_ENGINE_ENV`].
-    pub fn from_env() -> EngineMode {
-        static MODE: OnceLock<EngineMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var(SIM_ENGINE_ENV).as_deref() {
-            Ok("ticking") | Ok("cycle") | Ok("tick") => EngineMode::Ticking,
-            _ => EngineMode::Events,
-        })
-    }
 }
 
 /// The simulator: construct once per machine configuration, run per trace.
@@ -144,9 +127,9 @@ impl<'a> Simulator<'a> {
 
     /// Run `trace` to completion on a cold machine under `ideal`,
     /// returning timing and per-instruction records. Uses
-    /// [`EngineMode::from_env`].
+    /// [`EngineMode::Events`].
     pub fn run(&self, trace: &Trace, ideal: Idealization) -> SimResult {
-        self.run_with_mode(trace, ideal, EngineMode::from_env())
+        self.run_with_mode(trace, ideal, EngineMode::Events)
     }
 
     /// [`Simulator::run`] under an explicit run loop (differential
@@ -165,7 +148,7 @@ impl<'a> Simulator<'a> {
         warm_data: &[u64],
         warm_code: &[u64],
     ) -> SimResult {
-        self.run_warmed_with_mode(trace, ideal, warm_data, warm_code, EngineMode::from_env())
+        self.run_warmed_with_mode(trace, ideal, warm_data, warm_code, EngineMode::Events)
     }
 
     /// [`Simulator::run_warmed`] under an explicit run loop.
