@@ -283,7 +283,7 @@ ledger_records! {
     /// One batch's `RunReport` summary, so per-client reports stream over
     /// SSE instead of appearing only in `POST /query` response bodies.
     /// Wall-time fields are microseconds; everything else is a count.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     Report(ReportRecord) = "report" {
         /// Process-unique id tying the report to its batch.
         run: u64 => Count,

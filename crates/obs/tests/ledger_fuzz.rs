@@ -60,11 +60,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Heap a parse may hold per input byte. The tree parser's densest
-/// allocation is one `BTreeMap` leaf node (about 0.6 KiB) per
-/// five-byte `{"":…}` level, so 192 bytes per byte covers it with room
-/// for the record built from the tree.
-const BYTES_PER_INPUT_BYTE: usize = 192;
+/// Heap a parse may hold per input byte. The parser builds no tree: it
+/// reads each member into one `Slot` (a string, an integer, or an
+/// object's name→integer map) and skips everything else, so nesting
+/// costs nothing and its densest input is a long object member, whose
+/// map holds one entry per key (measured at most ~8.3 bytes per input
+/// byte). 16 bytes per byte covers that with room for the decoded
+/// record.
+const BYTES_PER_INPUT_BYTE: usize = 16;
 
 /// Heap any parse may hold regardless of input length: error messages,
 /// one record's maps and the result vector's first allocation.

@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 use icost::CostOracle;
 use uarch_graph::DepGraph;
-use uarch_obs::ledger::{unix_time_ms, CalibRecord, LedgerRecord, PlanRecord, RunHeader};
+use uarch_obs::ledger::{CalibRecord, LedgerRecord, PlanRecord};
 use uarch_obs::{Counter, Histogram, Registry};
 use uarch_runner::{
     context_id, CachedOracle, ContextId, LatticeGraphOracle, Query, RunReport, Runner, SimCache,
@@ -503,7 +503,9 @@ impl<'a> Planner<'a> {
         for &set in sets {
             let _ = graph_oracle.cost(set);
         }
-        self.metrics.graph_evals.add(graph_oracle.report().sims_run);
+        self.metrics
+            .graph_evals
+            .add(graph_oracle.into_inner().evaluations() as u64);
         let mut sim_oracle = self.runner.oracle_for(
             self.sim_ctx,
             self.config,
@@ -561,9 +563,10 @@ impl<'a> Planner<'a> {
             for &i in &pending {
                 graph_values[i] = queries[i].answer(&mut graph_oracle);
             }
-            let report = graph_oracle.report().clone();
-            self.metrics.graph_evals.add(report.sims_run);
-            graph_report = Some(report);
+            graph_report = Some(graph_oracle.report().clone());
+            self.metrics
+                .graph_evals
+                .add(graph_oracle.into_inner().evaluations() as u64);
         }
 
         // Score every graph answer; collect the escalations.
@@ -598,18 +601,7 @@ impl<'a> Planner<'a> {
             self.warm_data,
             self.warm_code,
         );
-        if let Some(run) = sim_oracle.ledger_run_id() {
-            ledger.append(&LedgerRecord::Run(RunHeader {
-                run,
-                ctx: sim_oracle.context().to_string(),
-                queries: sim_indices.len() as u64,
-                threads: self.runner.threads() as u64,
-                insts: self.trace.len() as u64,
-                ts_ms: unix_time_ms(),
-                // Stamped by Ledger::append from the causal context.
-                trace: String::new(),
-            }));
-        }
+        sim_oracle.ledger_header(sim_indices.len());
         let escalated_sets: Vec<EventSet> = sim_indices
             .iter()
             .filter(|&&i| !cache_complete[i])

@@ -28,12 +28,12 @@ use std::time::{Duration, Instant};
 
 use icost::CostOracle;
 use uarch_graph::{DepGraph, LaneScratch, MAX_LANES};
-use uarch_obs::ledger::{unix_time_ms, JobRecord, Ledger, LedgerRecord, Provenance, RunHeader};
+use uarch_obs::ledger::{JobRecord, Ledger, LedgerRecord, Provenance};
 use uarch_obs::{global, Counter, Registry};
 use uarch_trace::EventSet;
 
 use crate::fingerprint::{graph_context_id, ContextId};
-use crate::oracle::result_hash;
+use crate::oracle::{result_hash, run_header};
 use crate::pool::{default_threads, parallel_map};
 
 /// Live `graph.*` counters for one oracle.
@@ -161,16 +161,8 @@ impl<'g> LatticeGraphOracle<'g> {
             return;
         }
         self.header_written = true;
-        self.ledger.append(&LedgerRecord::Run(RunHeader {
-            run,
-            ctx: self.ctx.to_string(),
-            queries: 0,
-            threads: self.threads as u64,
-            insts: self.graph.len() as u64,
-            ts_ms: unix_time_ms(),
-            // Stamped by Ledger::append from the causal context.
-            trace: String::new(),
-        }));
+        let header = run_header(run, self.ctx, 0, self.threads, self.graph.len());
+        self.ledger.append(&header);
     }
 
     /// Append one job record to the run ledger (no-op when disabled).

@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use icost::CostOracle;
-use uarch_obs::ledger::{JobRecord, Ledger, LedgerRecord, Provenance};
+use uarch_obs::ledger::{unix_time_ms, JobRecord, Ledger, LedgerRecord, Provenance, RunHeader};
 use uarch_obs::{global, Registry};
 use uarch_sim::{EngineStats, Idealization, PipelineStalls, SimContext, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
@@ -33,7 +33,7 @@ use uarch_trace::{EventSet, MachineConfig, Trace};
 use crate::cache::SimCache;
 use crate::fingerprint::{context_id, ContextId, StableHasher};
 use crate::pool::{default_threads, parallel_map};
-use crate::report::{Metrics, RunReport};
+use crate::report::{Count, Metrics, RunReport};
 
 /// Stable fingerprint of one job's answer: equal `(set, cycles)` pairs
 /// hash equally across runs, machines, and cache tiers — the identity
@@ -43,6 +43,27 @@ pub(crate) fn result_hash(set: EventSet, cycles: u64) -> String {
     set.bits().hash(&mut h);
     cycles.hash(&mut h);
     format!("{:016x}", h.finish())
+}
+
+/// The run-header record of run `run`: `queries` queries over `insts`
+/// instructions of context `ctx`, with `threads` workers.
+pub(crate) fn run_header(
+    run: u64,
+    ctx: ContextId,
+    queries: usize,
+    threads: usize,
+    insts: usize,
+) -> LedgerRecord {
+    LedgerRecord::Run(RunHeader {
+        run,
+        ctx: ctx.to_string(),
+        queries: queries as u64,
+        threads: threads as u64,
+        insts: insts as u64,
+        ts_ms: unix_time_ms(),
+        // Stamped by Ledger::append from the causal context.
+        trace: String::new(),
+    })
 }
 
 /// A parallel, memoized multi-simulation oracle over one
@@ -139,10 +160,19 @@ impl<'a> ParallelMultiSimOracle<'a> {
     }
 
     /// The run id this oracle's jobs are ledgered under, when the
-    /// global run ledger is enabled. `Runner::run` writes the matching
-    /// run-header record.
+    /// global run ledger is enabled ([`ParallelMultiSimOracle::ledger_header`]
+    /// writes the matching run-header record).
     pub fn ledger_run_id(&self) -> Option<u64> {
         self.ledger_run
+    }
+
+    /// Append this oracle's run-header record for a batch of `queries`
+    /// queries (no-op when the run ledger is disabled).
+    pub fn ledger_header(&self, queries: usize) {
+        if let Some(run) = self.ledger_run {
+            let header = run_header(run, self.ctx, queries, self.threads, self.trace.len());
+            self.ledger.append(&header);
+        }
     }
 
     /// Append one job record to the run ledger (no-op when disabled).
@@ -196,19 +226,26 @@ impl<'a> ParallelMultiSimOracle<'a> {
         report
     }
 
-    /// Probe the cache, under a span so cache latency shows in traces.
-    fn probe(&self, set: EventSet) -> (Option<u64>, bool) {
-        let _sp = global().span("runner", "cache.probe");
-        self.cache.get(self.ctx, set)
-    }
-
-    /// Count one cache answer against the tier that served it.
-    fn count_hit(&self, from_disk: bool) {
-        if from_disk {
-            self.metrics.disk_hits.inc();
+    /// Probe the cache for `set` (under a span, so cache latency shows
+    /// in traces) and book a hit against the tier that served it: its
+    /// counter and its ledger job record.
+    fn cached(&self, set: EventSet) -> Option<u64> {
+        let probe_start = self.ledger_run.map(|_| Instant::now());
+        let (hit, from_disk) = {
+            let _sp = global().span("runner", "cache.probe");
+            self.cache.get(self.ctx, set)
+        };
+        let cycles = hit?;
+        let (counter, tier) = if from_disk {
+            (&self.metrics.disk_hits, Provenance::Disk)
         } else {
-            self.metrics.cache_hits.inc();
+            (&self.metrics.cache_hits, Provenance::Memory)
+        };
+        counter.inc();
+        if let Some(start) = probe_start {
+            self.ledger_job(set, tier, cycles, start.elapsed(), None);
         }
+        Some(cycles)
     }
 
     /// This context's prepared simulation state, built on first use.
@@ -240,36 +277,21 @@ impl<'a> ParallelMultiSimOracle<'a> {
         stalls: &PipelineStalls,
         engine: &EngineStats,
     ) {
-        self.metrics.sims_run.inc();
-        self.metrics.cycles_simulated.add(cycles);
-        self.metrics.insts_simulated.add(self.trace.len() as u64);
-        self.metrics.sim_cycles.record(cycles);
-        self.metrics.absorb_stalls(stalls);
-        self.metrics.absorb_engine(engine);
+        self.metrics
+            .count_sim(self.trace.len() as u64, cycles, stalls, engine);
         self.cache.insert(self.ctx, set, cycles);
     }
 
     /// Cycles under idealization of `set`, via cache or simulation.
     fn cycles(&mut self, set: EventSet) -> u64 {
         self.metrics.jobs_requested.inc();
-        let probe_start = self.ledger_run.map(|_| Instant::now());
-        let (hit, from_disk) = self.probe(set);
-        if let Some(cycles) = hit {
-            self.count_hit(from_disk);
-            if let Some(start) = probe_start {
-                let tier = if from_disk {
-                    Provenance::Disk
-                } else {
-                    Provenance::Memory
-                };
-                self.ledger_job(set, tier, cycles, start.elapsed(), None);
-            }
+        if let Some(cycles) = self.cached(set) {
             return cycles;
         }
         let start = Instant::now();
         let (cycles, stalls, engine) = self.simulate(set);
         let wall = start.elapsed();
-        Metrics::add_wall(&self.metrics.sim_wall_us, wall);
+        self.metrics.sim_wall.add(wall.to_u64());
         self.record_sim(set, cycles, &stalls, &engine);
         self.ledger_job(set, Provenance::Computed, cycles, wall, Some(&stalls));
         cycles
@@ -306,24 +328,14 @@ impl CostOracle for ParallelMultiSimOracle<'_> {
                     self.metrics.jobs_deduped.inc();
                     continue;
                 }
-                let probe_start = self.ledger_run.map(|_| Instant::now());
-                let (hit, from_disk) = self.probe(set);
-                if let Some(cycles) = hit {
-                    self.count_hit(from_disk);
-                    if let Some(start) = probe_start {
-                        let tier = if from_disk {
-                            Provenance::Disk
-                        } else {
-                            Provenance::Memory
-                        };
-                        self.ledger_job(set, tier, cycles, start.elapsed(), None);
-                    }
-                } else {
+                if self.cached(set).is_none() {
                     jobs.push(set);
                 }
             }
         }
-        Metrics::add_wall(&self.metrics.expand_wall_us, expand_start.elapsed());
+        self.metrics
+            .expand_wall
+            .add(expand_start.elapsed().to_u64());
         if jobs.is_empty() {
             return;
         }
@@ -343,7 +355,7 @@ impl CostOracle for ParallelMultiSimOracle<'_> {
                 (cycles, stalls, engine, job_start.elapsed())
             })
         };
-        Metrics::add_wall(&self.metrics.sim_wall_us, sim_start.elapsed());
+        self.metrics.sim_wall.add(sim_start.elapsed().to_u64());
         for (&set, (cycles, stalls, engine, wall)) in jobs.iter().zip(&results) {
             self.record_sim(set, *cycles, stalls, engine);
             self.ledger_job(set, Provenance::Computed, *cycles, *wall, Some(stalls));
@@ -381,7 +393,9 @@ impl<O: CostOracle> CachedOracle<O> {
         }
     }
 
-    /// Telemetry accumulated so far.
+    /// Telemetry accumulated so far: queries and cache traffic. The
+    /// inner oracle's own work is not in it (`sims_run` stays 0); read
+    /// it from the inner oracle.
     pub fn report(&self) -> &RunReport {
         &self.report
     }
@@ -414,8 +428,9 @@ impl<O: CostOracle> CostOracle for CachedOracle<O> {
             self.count_hit(from_disk);
             return base - cycles as i64;
         }
+        // A miss is the inner oracle's work, counted where it happens
+        // (e.g. `graph.batch.evaluated`), not billed as a simulation.
         let cost = self.inner.cost(set);
-        self.report.sims_run += 1;
         self.cache.insert(self.ctx, set, (base - cost) as u64);
         cost
     }
@@ -600,15 +615,26 @@ mod tests {
             assert_eq!(cached.cost(s), plain.cost(s));
         }
         assert_eq!(cached.baseline(), plain.baseline());
-        // Re-query through a fresh wrapper sharing nothing: must recompute.
-        // Through a wrapper sharing the cache: must not.
+        // Through a wrapper sharing the cache, the inner oracle never
+        // runs: its own evaluation count stays 0 where the first
+        // wrapper's inner oracle evaluated the set.
+        let res = uarch_sim::Simulator::new(&cfg).run(&t, Idealization::none());
+        let graph = uarch_graph::DepGraph::build(&t, &res, &cfg);
+        let gctx = ctx.tagged("graph");
         let cache = SimCache::new();
-        let mut a = CachedOracle::new(MultiSimOracle::new(&cfg, &t), ctx, cache.clone());
+        let oracle = || crate::LatticeGraphOracle::new(&graph);
+        let mut a = CachedOracle::new(oracle(), gctx, cache.clone());
         let s = EventSet::single(EventClass::Dmiss);
         let v = a.cost(s);
-        let mut b = CachedOracle::new(MultiSimOracle::new(&cfg, &t), ctx, cache);
+        assert_eq!(a.into_inner().evaluations(), 1);
+        let mut b = CachedOracle::new(oracle(), gctx, cache);
         assert_eq!(b.cost(s), v);
-        assert_eq!(b.report().sims_run, 0);
         assert!(b.report().cache_hits >= 1);
+        assert_eq!(
+            b.report().sims_run,
+            0,
+            "kernel evaluations are not simulations"
+        );
+        assert_eq!(b.into_inner().evaluations(), 0);
     }
 }

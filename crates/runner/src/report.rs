@@ -1,143 +1,310 @@
 //! Run telemetry: what the engine actually did, printable as a table
 //! and exportable as JSON/CSV.
 //!
-//! The counters live in a [`uarch_obs::Registry`] — the oracles update
-//! registry-backed atomic handles ([`Metrics`]) while they work, and
-//! [`RunReport`] is a plain-struct *view* over a snapshot of that
-//! registry, so existing call sites (`report.sims_run`, `absorb`,
-//! `to_table`) keep working while the same numbers are streamable
-//! through the metrics layer.
+//! [`RunReport`] is the one accounting record of a batch. Its members
+//! are declared once, in the `report_members!` table below: each row
+//! names the field, its registry metric, its `report`-ledger member and
+//! its merge rule. The live registry-backed counters the oracles
+//! increment ([`Metrics`]), [`RunReport::absorb`], [`RunReport::publish`]
+//! (and through it `/metrics` and the JSON/CSV exports) and
+//! [`RunReport::to_record`] (the `report` ledger line) are generated
+//! from that table, so they cannot disagree about what a batch cost.
 
+use std::marker::PhantomData;
+use std::ops::AddAssign;
 use std::time::Duration;
 
-use uarch_obs::{Counter, Gauge, Histogram, Registry};
+use uarch_obs::ledger::ReportRecord;
+use uarch_obs::{Counter, Gauge, Histogram, Registry, SnapshotValue};
 use uarch_sim::{EngineStats, PipelineStalls};
 
-/// Bucket bounds for the per-simulation cycle-count histogram.
-const SIM_CYCLES_BOUNDS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+/// The per-simulation cycle-count histogram the [`Tail`] members are
+/// interpolated from.
+fn sim_cycles(registry: &Registry) -> Histogram {
+    const BOUNDS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+    registry.histogram("runner.sim_cycles", &BOUNDS)
+}
 
-/// Registry-backed live counters for one oracle. This is what the
-/// engine actually increments; [`Metrics::report`] snapshots it into a
-/// [`RunReport`].
-#[derive(Debug)]
-pub(crate) struct Metrics {
-    registry: Registry,
-    pub queries: Counter,
-    pub jobs_requested: Counter,
-    pub jobs_deduped: Counter,
-    pub cache_hits: Counter,
-    pub disk_hits: Counter,
-    pub sims_run: Counter,
-    pub cycles_simulated: Counter,
-    pub insts_simulated: Counter,
-    pub threads: Gauge,
-    pub expand_wall_us: Counter,
-    pub sim_wall_us: Counter,
-    /// Distribution of per-simulation cycle counts.
-    pub sim_cycles: Histogram,
-    /// One counter per [`PipelineStalls`] row, in row order.
-    stall_counters: Vec<Counter>,
-    /// Cycles the event scheduler actually ticked (`sim.event.ticks`).
-    pub engine_ticks: Counter,
-    /// Idle cycles jumped over without running the stage functions
-    /// (`sim.skipped_cycles`; always 0 under the ticking engine).
-    pub engine_skipped: Counter,
-    /// Idle spans bulk-attributed in one next-event jump each
-    /// (`sim.event.spans`).
-    pub engine_spans: Counter,
+/// How one member is counted live, merged across batches and published.
+pub(crate) trait Rule {
+    /// The member's type in [`RunReport`].
+    type Value;
+    /// The live handle [`Metrics`] keeps for the member.
+    type Handle;
+    fn bind(registry: &Registry, metric: &str) -> Self::Handle;
+    fn read(handle: &Self::Handle) -> Self::Value;
+    fn merge(into: &mut Self::Value, from: &Self::Value);
+    /// Add the value to (or set it in) `registry`; `simulated` says
+    /// whether the batch ran any simulation.
+    fn publish(value: &Self::Value, registry: &Registry, metric: &str, simulated: bool);
+}
+
+/// A member value the registry and the `report` ledger line carry as
+/// one integer: a count, a size, or a wall time in whole microseconds.
+pub(crate) trait Count: Copy + Ord + AddAssign {
+    fn to_u64(self) -> u64;
+    fn from_u64(n: u64) -> Self;
+}
+
+impl Count for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+    fn from_u64(n: u64) -> u64 {
+        n
+    }
+}
+
+impl Count for usize {
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
+    fn from_u64(n: u64) -> usize {
+        n as usize
+    }
+}
+
+impl Count for Duration {
+    fn to_u64(self) -> u64 {
+        self.as_micros() as u64
+    }
+    fn from_u64(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+}
+
+/// A count that sums across batches (a registry counter).
+pub(crate) struct Sum<T>(PhantomData<T>);
+
+impl<T: Count> Rule for Sum<T> {
+    type Value = T;
+    type Handle = Counter;
+    fn bind(registry: &Registry, metric: &str) -> Counter {
+        registry.counter(metric)
+    }
+    fn read(handle: &Counter) -> T {
+        T::from_u64(handle.get())
+    }
+    fn merge(into: &mut T, from: &T) {
+        *into += *from;
+    }
+    fn publish(value: &T, registry: &Registry, metric: &str, _: bool) {
+        registry.counter(metric).add(value.to_u64());
+    }
+}
+
+/// A size that merges to the larger value (a registry gauge).
+pub(crate) struct Max<T>(PhantomData<T>);
+
+impl<T: Count> Rule for Max<T> {
+    type Value = T;
+    type Handle = Gauge;
+    fn bind(registry: &Registry, metric: &str) -> Gauge {
+        registry.gauge(metric)
+    }
+    fn read(handle: &Gauge) -> T {
+        T::from_u64(handle.get().max(0) as u64)
+    }
+    fn merge(into: &mut T, from: &T) {
+        *into = (*into).max(*from);
+    }
+    fn publish(value: &T, registry: &Registry, metric: &str, _: bool) {
+        registry.gauge(metric).set(value.to_u64() as i64);
+    }
+}
+
+/// The `P`th percentile of per-simulation cycle counts, interpolated
+/// from the `runner.sim_cycles` histogram (0 before any simulation).
+/// Percentiles do not add across batches, so a merge keeps the
+/// pessimistic (larger) tail, and publishing sets a gauge only for a
+/// batch that simulated: a later batch's estimate replaces the earlier
+/// one, and a batch without simulations has none.
+pub(crate) struct Tail<const P: u32>;
+
+impl<const P: u32> Rule for Tail<P> {
+    type Value = u64;
+    type Handle = Histogram;
+    fn bind(registry: &Registry, _: &str) -> Histogram {
+        sim_cycles(registry)
+    }
+    fn read(handle: &Histogram) -> u64 {
+        let histogram = SnapshotValue::Histogram {
+            bounds: handle.bounds().to_vec(),
+            counts: handle.bucket_counts(),
+            count: handle.count(),
+            sum: handle.sum(),
+        };
+        let p = histogram.quantile(f64::from(P) / 100.0);
+        p.map_or(0, |v| v.round() as u64)
+    }
+    fn merge(into: &mut u64, from: &u64) {
+        *into = (*into).max(*from);
+    }
+    fn publish(value: &u64, registry: &Registry, metric: &str, simulated: bool) {
+        if simulated {
+            registry.gauge(metric).set(*value as i64);
+        }
+    }
+}
+
+/// Simulated-machine stalls: one summing counter per [`PipelineStalls`]
+/// row, named by appending the row name to the metric prefix.
+pub(crate) struct Stalls;
+
+impl Rule for Stalls {
+    type Value = PipelineStalls;
+    type Handle = Vec<Counter>;
+    fn bind(registry: &Registry, prefix: &str) -> Vec<Counter> {
+        PipelineStalls::default()
+            .rows()
+            .iter()
+            .map(|(name, _)| registry.counter(&format!("{prefix}{name}")))
+            .collect()
+    }
+    fn read(handle: &Vec<Counter>) -> PipelineStalls {
+        let mut values = [0u64; 10];
+        for (slot, counter) in values.iter_mut().zip(handle) {
+            *slot = counter.get();
+        }
+        PipelineStalls::from_row_values(values)
+    }
+    fn merge(into: &mut PipelineStalls, from: &PipelineStalls) {
+        into.absorb(from);
+    }
+    fn publish(value: &PipelineStalls, registry: &Registry, prefix: &str, _: bool) {
+        for (name, v) in value.rows() {
+            registry.counter(&format!("{prefix}{name}")).add(v);
+        }
+    }
+}
+
+/// Writes one table row into a [`ReportRecord`], or nothing for a row
+/// whose ledger member is `_`.
+macro_rules! ledger_member {
+    ($record:ident, _, $value:expr) => {};
+    ($record:ident, $member:ident, $value:expr) => {
+        $record.$member = Count::to_u64(*$value)
+    };
+}
+
+/// Declares the batch-accounting members once. A row reads
+/// `field [in parent]: "metric" => ledger member, Rule;` — the
+/// [`RunReport`] field (`in engine` for a member of the nested
+/// [`EngineStats`]), the registry metric it publishes as, the
+/// [`ReportRecord`] member that carries it (`_` for none) and its
+/// [`Rule`]. [`Metrics`] (one live handle per row), its
+/// [`Metrics::report`], [`RunReport::absorb`], [`RunReport::publish`]
+/// and [`RunReport::to_record`] are generated from the rows.
+macro_rules! report_members {
+    ($($field:ident $(in $parent:ident)?: $metric:literal => $member:tt, $rule:ty;)*) => {
+        /// Registry-backed live counters for one oracle, one handle per
+        /// accounting member. This is what the engine actually
+        /// increments; [`Metrics::report`] snapshots it into a
+        /// [`RunReport`].
+        #[derive(Debug)]
+        pub(crate) struct Metrics {
+            registry: Registry,
+            /// Distribution of per-simulation cycle counts.
+            pub(crate) sim_cycles: Histogram,
+            $(pub(crate) $field: <$rule as Rule>::Handle,)*
+        }
+
+        impl Metrics {
+            /// Fresh metrics in a fresh registry.
+            pub fn new(threads: usize) -> Metrics {
+                let registry = Registry::new();
+                let m = Metrics {
+                    sim_cycles: sim_cycles(&registry),
+                    $($field: <$rule as Rule>::bind(&registry, $metric),)*
+                    registry,
+                };
+                m.threads.set(threads as i64);
+                m
+            }
+
+            /// Snapshot the live counters into a plain [`RunReport`] view.
+            pub fn report(&self) -> RunReport {
+                let mut report = RunReport::default();
+                $(report$(.$parent)?.$field = <$rule as Rule>::read(&self.$field);)*
+                report
+            }
+        }
+
+        impl RunReport {
+            /// Fold another report's counters and timings into this one.
+            pub fn absorb(&mut self, other: &RunReport) {
+                $(<$rule as Rule>::merge(&mut self$(.$parent)?.$field, &other$(.$parent)?.$field);)*
+            }
+
+            /// Publish every member into `registry` (adding to whatever
+            /// is already there, so publishing several reports
+            /// accumulates).
+            pub fn publish(&self, registry: &Registry) {
+                let simulated = self.sims_run > 0;
+                $(<$rule as Rule>::publish(&self$(.$parent)?.$field, registry, $metric, simulated);)*
+            }
+
+            /// The batch's `report` ledger record under run id `run`
+            /// (its `trace` is stamped by `Ledger::append`).
+            pub fn to_record(&self, run: u64) -> ReportRecord {
+                let mut record = ReportRecord {
+                    run,
+                    ..ReportRecord::default()
+                };
+                $(ledger_member!(record, $member, &self$(.$parent)?.$field);)*
+                record
+            }
+        }
+    };
+}
+
+report_members! {
+    queries: "runner.queries" => queries, Sum<u64>;
+    jobs_requested: "runner.jobs_requested" => jobs, Sum<u64>;
+    jobs_deduped: "runner.jobs_deduped" => deduped, Sum<u64>;
+    cache_hits: "runner.cache_hits_mem" => cache_hits, Sum<u64>;
+    disk_hits: "runner.cache_hits_disk" => disk_hits, Sum<u64>;
+    sims_run: "runner.sims_run" => sims_run, Sum<u64>;
+    cycles_simulated: "runner.cycles_simulated" => cycles, Sum<u64>;
+    insts_simulated: "runner.insts_simulated" => insts, Sum<u64>;
+    threads: "runner.threads" => threads, Max<usize>;
+    expand_wall: "runner.expand_wall_us" => expand_us, Sum<Duration>;
+    sim_wall: "runner.sim_wall_us" => sim_us, Sum<Duration>;
+    sim_cycles_p50: "runner.sim_cycles_p50" => _, Tail<50>;
+    sim_cycles_p95: "runner.sim_cycles_p95" => _, Tail<95>;
+    sim_cycles_p99: "runner.sim_cycles_p99" => _, Tail<99>;
+    stalls: "sim.stall." => _, Stalls;
+    ticked_cycles in engine: "sim.event.ticks" => _, Sum<u64>;
+    skipped_cycles in engine: "sim.skipped_cycles" => skipped, Sum<u64>;
+    idle_spans in engine: "sim.event.spans" => _, Sum<u64>;
 }
 
 impl Metrics {
-    /// Fresh metrics in a fresh registry.
-    pub fn new(threads: usize) -> Metrics {
-        let registry = Registry::new();
-        let stall_counters = PipelineStalls::default()
-            .rows()
-            .iter()
-            .map(|(name, _)| registry.counter(&format!("sim.stall.{name}")))
-            .collect();
-        let m = Metrics {
-            queries: registry.counter("runner.queries"),
-            jobs_requested: registry.counter("runner.jobs_requested"),
-            jobs_deduped: registry.counter("runner.jobs_deduped"),
-            cache_hits: registry.counter("runner.cache_hits_mem"),
-            disk_hits: registry.counter("runner.cache_hits_disk"),
-            sims_run: registry.counter("runner.sims_run"),
-            cycles_simulated: registry.counter("runner.cycles_simulated"),
-            insts_simulated: registry.counter("runner.insts_simulated"),
-            threads: registry.gauge("runner.threads"),
-            expand_wall_us: registry.counter("runner.expand_wall_us"),
-            sim_wall_us: registry.counter("runner.sim_wall_us"),
-            sim_cycles: registry.histogram("runner.sim_cycles", &SIM_CYCLES_BOUNDS),
-            stall_counters,
-            engine_ticks: registry.counter("sim.event.ticks"),
-            engine_skipped: registry.counter("sim.skipped_cycles"),
-            engine_spans: registry.counter("sim.event.spans"),
-            registry,
-        };
-        m.threads.set(threads as i64);
-        m
-    }
-
     /// The registry the counters live in (for full snapshots that
     /// include the histogram).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
-    /// Add one simulation's stall counters.
-    pub fn absorb_stalls(&self, stalls: &PipelineStalls) {
-        for (counter, (_, v)) in self.stall_counters.iter().zip(stalls.rows()) {
+    /// Book one executed simulation of `insts` instructions: its cycle
+    /// count, stall counters and run-loop telemetry (ticked vs skipped).
+    pub fn count_sim(
+        &self,
+        insts: u64,
+        cycles: u64,
+        stalls: &PipelineStalls,
+        engine: &EngineStats,
+    ) {
+        self.sims_run.inc();
+        self.insts_simulated.add(insts);
+        self.cycles_simulated.add(cycles);
+        self.sim_cycles.record(cycles);
+        for (counter, (_, v)) in self.stalls.iter().zip(stalls.rows()) {
             counter.add(v);
         }
-    }
-
-    /// Add one simulation's run-loop telemetry (ticked vs skipped).
-    pub fn absorb_engine(&self, engine: &EngineStats) {
-        self.engine_ticks.add(engine.ticked_cycles);
-        self.engine_skipped.add(engine.skipped_cycles);
-        self.engine_spans.add(engine.idle_spans);
-    }
-
-    /// Add `d` to a wall-time counter, in whole microseconds.
-    pub fn add_wall(counter: &Counter, d: Duration) {
-        counter.add(d.as_micros() as u64);
-    }
-
-    /// Snapshot the live counters into a plain [`RunReport`] view.
-    pub fn report(&self) -> RunReport {
-        let mut stall_values = [0u64; 10];
-        for (slot, counter) in stall_values.iter_mut().zip(&self.stall_counters) {
-            *slot = counter.get();
-        }
-        let snap = self.registry.snapshot();
-        let quantile = |q: f64| {
-            snap.quantile("runner.sim_cycles", q)
-                .map(|v| v.round() as u64)
-                .unwrap_or(0)
-        };
-        RunReport {
-            queries: self.queries.get(),
-            jobs_requested: self.jobs_requested.get(),
-            jobs_deduped: self.jobs_deduped.get(),
-            cache_hits: self.cache_hits.get(),
-            disk_hits: self.disk_hits.get(),
-            sims_run: self.sims_run.get(),
-            cycles_simulated: self.cycles_simulated.get(),
-            insts_simulated: self.insts_simulated.get(),
-            threads: self.threads.get().max(0) as usize,
-            expand_wall: Duration::from_micros(self.expand_wall_us.get()),
-            sim_wall: Duration::from_micros(self.sim_wall_us.get()),
-            sim_cycles_p50: quantile(0.50),
-            sim_cycles_p95: quantile(0.95),
-            sim_cycles_p99: quantile(0.99),
-            stalls: PipelineStalls::from_row_values(stall_values),
-            engine: EngineStats {
-                ticked_cycles: self.engine_ticks.get(),
-                skipped_cycles: self.engine_skipped.get(),
-                idle_spans: self.engine_spans.get(),
-            },
-        }
+        self.ticked_cycles.add(engine.ticked_cycles);
+        self.skipped_cycles.add(engine.skipped_cycles);
+        self.idle_spans.add(engine.idle_spans);
     }
 
     /// Zero everything, keeping the thread gauge.
@@ -150,15 +317,18 @@ impl Metrics {
 
 /// Counters and phase timings for one oracle / batch run.
 ///
-/// Every `cost(S)` request ends in exactly one of: answered from memory
-/// or disk (`cache_hits`/`disk_hits`), collapsed onto an identical
-/// in-flight or already-requested job (`jobs_deduped`), or simulated
-/// (`sims_run`).
+/// Every `cost(S)` request a simulation oracle sees ends in exactly one
+/// of: answered from memory or disk (`cache_hits`/`disk_hits`),
+/// collapsed onto an identical in-flight or already-requested job
+/// (`jobs_deduped`), or simulated (`sims_run`). Dependence-graph kernel
+/// evaluations are not simulations: a graph batch reports its cache
+/// traffic here and its kernel work in the graph oracle's own `graph.*`
+/// counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// `cost`/`baseline` queries answered (including trivial `∅` ones).
     pub queries: u64,
-    /// Simulation jobs requested before dedup/cache screening.
+    /// Jobs requested before dedup/cache screening.
     pub jobs_requested: u64,
     /// Requests collapsed because an identical job was already requested
     /// in the same batch or answered earlier.
@@ -205,28 +375,6 @@ impl RunReport {
         }
     }
 
-    /// Fold another report's counters and timings into this one.
-    pub fn absorb(&mut self, other: &RunReport) {
-        self.queries += other.queries;
-        self.jobs_requested += other.jobs_requested;
-        self.jobs_deduped += other.jobs_deduped;
-        self.cache_hits += other.cache_hits;
-        self.disk_hits += other.disk_hits;
-        self.sims_run += other.sims_run;
-        self.cycles_simulated += other.cycles_simulated;
-        self.insts_simulated += other.insts_simulated;
-        self.threads = self.threads.max(other.threads);
-        self.expand_wall += other.expand_wall;
-        self.sim_wall += other.sim_wall;
-        // Percentiles are not additive across batches; keep the
-        // pessimistic (larger) tail estimate.
-        self.sim_cycles_p50 = self.sim_cycles_p50.max(other.sim_cycles_p50);
-        self.sim_cycles_p95 = self.sim_cycles_p95.max(other.sim_cycles_p95);
-        self.sim_cycles_p99 = self.sim_cycles_p99.max(other.sim_cycles_p99);
-        self.stalls.absorb(&other.stalls);
-        self.engine.absorb(&other.engine);
-    }
-
     /// Fraction of non-empty requests that skipped simulation, in
     /// `[0, 1]`; `None` before any requests. Disk-served answers are
     /// reused work, so they count toward reuse exactly like memory hits
@@ -255,63 +403,6 @@ impl RunReport {
             frac(self.disk_hits),
             frac(self.jobs_deduped),
         ))
-    }
-
-    /// Publish every counter into `registry` (adding to whatever is
-    /// already there, so absorbing several reports accumulates).
-    pub fn publish(&self, registry: &Registry) {
-        registry.counter("runner.queries").add(self.queries);
-        registry
-            .counter("runner.jobs_requested")
-            .add(self.jobs_requested);
-        registry
-            .counter("runner.jobs_deduped")
-            .add(self.jobs_deduped);
-        registry
-            .counter("runner.cache_hits_mem")
-            .add(self.cache_hits);
-        registry
-            .counter("runner.cache_hits_disk")
-            .add(self.disk_hits);
-        registry.counter("runner.sims_run").add(self.sims_run);
-        registry
-            .counter("runner.cycles_simulated")
-            .add(self.cycles_simulated);
-        registry
-            .counter("runner.insts_simulated")
-            .add(self.insts_simulated);
-        registry.gauge("runner.threads").set(self.threads as i64);
-        registry
-            .counter("runner.expand_wall_us")
-            .add(self.expand_wall.as_micros() as u64);
-        registry
-            .counter("runner.sim_wall_us")
-            .add(self.sim_wall.as_micros() as u64);
-        if self.sims_run > 0 {
-            // Gauges, not counters: a later batch's estimate replaces
-            // (does not sum with) the earlier one.
-            registry
-                .gauge("runner.sim_cycles_p50")
-                .set(self.sim_cycles_p50 as i64);
-            registry
-                .gauge("runner.sim_cycles_p95")
-                .set(self.sim_cycles_p95 as i64);
-            registry
-                .gauge("runner.sim_cycles_p99")
-                .set(self.sim_cycles_p99 as i64);
-        }
-        for (name, v) in self.stalls.rows() {
-            registry.counter(&format!("sim.stall.{name}")).add(v);
-        }
-        registry
-            .counter("sim.event.ticks")
-            .add(self.engine.ticked_cycles);
-        registry
-            .counter("sim.skipped_cycles")
-            .add(self.engine.skipped_cycles);
-        registry
-            .counter("sim.event.spans")
-            .add(self.engine.idle_spans);
     }
 
     /// The report as a standalone metrics registry (the snapshot/JSON/
@@ -406,6 +497,36 @@ mod tests {
     }
 
     #[test]
+    fn record_carries_every_ledger_member() {
+        let mut r = RunReport::new(4);
+        (r.queries, r.jobs_requested, r.jobs_deduped) = (1, 2, 3);
+        (r.cache_hits, r.disk_hits, r.sims_run) = (5, 6, 7);
+        (r.cycles_simulated, r.insts_simulated) = (8, 9);
+        r.expand_wall = Duration::from_micros(10);
+        r.sim_wall = Duration::from_micros(11);
+        r.engine.skipped_cycles = 12;
+        assert_eq!(
+            r.to_record(42),
+            ReportRecord {
+                run: 42,
+                queries: 1,
+                jobs: 2,
+                deduped: 3,
+                cache_hits: 5,
+                disk_hits: 6,
+                sims_run: 7,
+                cycles: 8,
+                insts: 9,
+                threads: 4,
+                expand_us: 10,
+                sim_us: 11,
+                skipped: 12,
+                trace: String::new(),
+            }
+        );
+    }
+
+    #[test]
     fn reuse_rate_counts_disk_hits_as_reuse() {
         // Regression for the disk-layer bug: two disk-served answers and
         // two fresh simulations is a 50% reuse rate, not 0%.
@@ -467,17 +588,16 @@ mod tests {
     fn metrics_snapshot_roundtrips_to_report() {
         let m = Metrics::new(3);
         m.queries.add(2);
-        m.sims_run.inc();
-        m.cycles_simulated.add(1234);
-        m.sim_cycles.record(1234);
-        m.absorb_stalls(&PipelineStalls {
+        let stalls = PipelineStalls {
             load_mem_fill: 7,
             ..PipelineStalls::default()
-        });
+        };
+        m.count_sim(50, 1234, &stalls, &EngineStats::default());
         let r = m.report();
         assert_eq!(r.queries, 2);
         assert_eq!(r.sims_run, 1);
         assert_eq!(r.cycles_simulated, 1234);
+        assert_eq!(r.insts_simulated, 50);
         assert_eq!(r.threads, 3);
         assert_eq!(r.stalls.load_mem_fill, 7);
         m.reset();
@@ -492,8 +612,7 @@ mod tests {
         // 100 samples spread across the first bucket (bound 1_000): the
         // estimates interpolate within it and order correctly.
         for _ in 0..100 {
-            m.sims_run.inc();
-            m.sim_cycles.record(500);
+            m.count_sim(1, 500, &PipelineStalls::default(), &EngineStats::default());
         }
         let r = m.report();
         assert!(r.sim_cycles_p50 > 0);

@@ -14,7 +14,7 @@ use std::sync::{Mutex, OnceLock};
 use icost::{icost, icost_of_sets, CostOracle};
 use uarch_audit::{audit_attribution, AuditConfig};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
-use uarch_obs::ledger::{unix_time_ms, LedgerRecord, RunHeader};
+use uarch_obs::ledger::LedgerRecord;
 use uarch_obs::CounterSampler;
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
@@ -231,6 +231,23 @@ impl Runner {
     /// expansion, with the answers produced by the lane-batched kernel
     /// (bit-identical to per-set `DepGraph::evaluate`).
     pub fn run_graph(&self, graph: &DepGraph, queries: &[Query]) -> (Vec<i64>, RunReport) {
+        let baseline = graph.evaluate(EventSet::EMPTY);
+        let (answers, report, _) =
+            self.run_graph_for(graph, graph_context_id(graph), baseline, queries);
+        (answers, report)
+    }
+
+    /// [`Runner::run_graph`] with the context id and baseline the caller
+    /// already holds (see [`Runner::graph_oracle_for`]). Also returns the
+    /// kernel oracle: the report holds the batch's cache traffic, the
+    /// oracle's `graph.*` counters its kernel work.
+    pub fn run_graph_for<'g>(
+        &self,
+        graph: &'g DepGraph,
+        ctx: ContextId,
+        baseline: u64,
+        queries: &[Query],
+    ) -> (Vec<i64>, RunReport, LatticeGraphOracle<'g>) {
         let tracer = uarch_obs::global();
         let _run_sp = if tracer.is_enabled() {
             let mut args = vec![("queries", queries.len().to_string())];
@@ -241,7 +258,7 @@ impl Runner {
         } else {
             tracer.span("runner", "runner.run_graph")
         };
-        let mut oracle = self.graph_oracle(graph);
+        let mut oracle = self.graph_oracle_for(graph, ctx, baseline);
         let wanted: Vec<EventSet> = {
             let _sp = tracer.span("runner", "expand");
             queries.iter().flat_map(Query::required_sets).collect()
@@ -250,7 +267,7 @@ impl Runner {
         let answers = queries.iter().map(|q| q.answer(&mut oracle)).collect();
         let report = oracle.report().clone();
         let _ = uarch_obs::ledger::global().flush();
-        (answers, report)
+        (answers, report, oracle.into_inner())
     }
 
     /// Evaluate a batch of queries against one context.
@@ -307,19 +324,7 @@ impl Runner {
             tracer.span("runner", "runner.run")
         };
         let mut oracle = self.oracle_for(ctx, config, trace, warm_data, warm_code);
-        let ledger = uarch_obs::ledger::global();
-        if let Some(run) = oracle.ledger_run_id() {
-            ledger.append(&LedgerRecord::Run(RunHeader {
-                run,
-                ctx: oracle.context().to_string(),
-                queries: queries.len() as u64,
-                threads: self.threads as u64,
-                insts: trace.len() as u64,
-                ts_ms: unix_time_ms(),
-                // Stamped by Ledger::append from the causal context.
-                trace: String::new(),
-            }));
-        }
+        oracle.ledger_header(queries.len());
         let sampler = tracer.is_enabled().then(|| {
             CounterSampler::start(
                 tracer.clone(),
@@ -345,7 +350,7 @@ impl Runner {
             oracle.ledger_run_id(),
         );
         let report = oracle.take_report();
-        let _ = ledger.flush();
+        let _ = uarch_obs::ledger::global().flush();
         (answers, report)
     }
 
@@ -474,10 +479,11 @@ mod tests {
 
         // Same runner, same graph content: the shared cache answers the
         // whole second batch without touching the kernel.
-        let (second, r2) = runner.run_graph(&graph, &queries);
+        let (gctx, base) = (graph_context_id(&graph), graph.evaluate(EventSet::EMPTY));
+        let (second, r2, kernel) = runner.run_graph_for(&graph, gctx, base, &queries);
         assert_eq!(second, expect);
-        assert_eq!(r2.sims_run, 0, "all answers from the shared cache");
         assert!(r2.cache_hits > 0);
+        assert_eq!(kernel.evaluations(), 0, "all answers from the shared cache");
     }
 
     #[test]
@@ -505,7 +511,11 @@ mod tests {
         let got: Vec<i64> = queries.iter().map(|q| q.answer(&mut oracle)).collect();
         assert_eq!(crate::context_bytes_hashed(), before);
         assert_eq!(got, want);
-        assert_eq!(oracle.report().sims_run, 0);
+        assert_eq!(
+            oracle.into_inner().evaluations(),
+            0,
+            "same key, no kernel sweep"
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@ use std::sync::Mutex;
 
 use uarch_obs::json;
 use uarch_obs::TraceEvent;
+use uarch_runner::RunReport;
 
 /// Environment variable bounding the receipt ring (entries).
 pub const RECEIPTS_MAX_ENV: &str = "ICOST_RECEIPTS_MAX";
@@ -31,7 +32,10 @@ pub const DEFAULT_RECEIPTS_MAX: usize = 512;
 /// How many slowest receipts survive ring eviction.
 pub const SLOW_LOG_CAPACITY: usize = 16;
 
-/// The itemized cost of answering one traced request.
+/// The itemized cost of answering one traced request: what was asked
+/// and how it was served, plus the batch's [`RunReport`] — the same
+/// record the response's `report`, the `report` ledger line and the
+/// `/metrics` `runner_*` counters come from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Receipt {
     /// Trace id, 16 lowercase hex digits.
@@ -49,25 +53,34 @@ pub struct Receipt {
     pub rungs: String,
     /// Minimum per-answer confidence across the batch (1.0 when empty).
     pub confidence: f64,
-    /// Ground-truth simulations actually run.
-    pub sims_run: u64,
-    /// Jobs answered from the in-memory cache.
-    pub cache_hits: u64,
-    /// Jobs answered from the disk cache.
-    pub disk_hits: u64,
-    /// Jobs deduplicated within the batch.
-    pub deduped: u64,
-    /// Idle cycles the discrete-event engine skipped.
-    pub skipped_cycles: u64,
     /// Response body length, in bytes, before the receipt was spliced
     /// in (the cost of the answer, not of the bill).
     pub response_bytes: u64,
+    /// What the batch cost (all zero for non-query endpoints).
+    pub report: RunReport,
 }
 
 impl Receipt {
+    /// The receipt of a request to `endpoint` that ran no query batch;
+    /// a query's receipt fills in the batch fields over it.
+    pub fn new(endpoint: &'static str, wall_us: u64) -> Receipt {
+        Receipt {
+            trace_id: String::new(),
+            endpoint,
+            wall_us,
+            queries: 0,
+            backend: "",
+            rungs: String::new(),
+            confidence: 1.0,
+            response_bytes: 0,
+            report: RunReport::default(),
+        }
+    }
+
     /// Render as a JSON object with a fixed field order (golden-tested;
     /// treat the order as wire format).
     pub fn to_json(&self) -> String {
+        let r = &self.report;
         format!(
             "{{\"trace_id\":{},\"endpoint\":\"{}\",\"wall_us\":{},\"queries\":{},\"backend\":\"{}\",\"rungs\":{},\"confidence\":{:.3},\"sims_run\":{},\"cache_hits\":{},\"disk_hits\":{},\"deduped\":{},\"skipped_cycles\":{},\"response_bytes\":{}}}",
             json::quote(&self.trace_id),
@@ -77,11 +90,11 @@ impl Receipt {
             self.backend,
             json::quote(&self.rungs),
             self.confidence,
-            self.sims_run,
-            self.cache_hits,
-            self.disk_hits,
-            self.deduped,
-            self.skipped_cycles,
+            r.sims_run,
+            r.cache_hits,
+            r.disk_hits,
+            r.jobs_deduped,
+            r.engine.skipped_cycles,
             self.response_bytes,
         )
     }
@@ -314,20 +327,19 @@ mod tests {
     use std::borrow::Cow;
 
     fn receipt(id: &str, wall: u64) -> Receipt {
+        let mut report = RunReport::new(2);
+        report.sims_run = 2;
+        report.cache_hits = 3;
+        report.jobs_deduped = 1;
+        report.engine.skipped_cycles = 9;
         Receipt {
             trace_id: id.to_string(),
-            endpoint: "query",
-            wall_us: wall,
             queries: 1,
             backend: "sim",
             rungs: "sim".into(),
-            confidence: 1.0,
-            sims_run: 2,
-            cache_hits: 3,
-            disk_hits: 0,
-            deduped: 1,
-            skipped_cycles: 9,
             response_bytes: 120,
+            report,
+            ..Receipt::new("query", wall)
         }
     }
 

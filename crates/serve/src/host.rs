@@ -22,11 +22,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use icost::CostOracle;
 use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::json::{self, Value};
-use uarch_obs::ledger::{LedgerRecord, ReportRecord};
+use uarch_obs::ledger::LedgerRecord;
 use uarch_obs::{prom, Counter, Gauge, Histogram, Registry};
 use uarch_plan::{assess, Calibrator, PlanConfig, Planner};
 use uarch_runner::{context_id, graph_context_id, ContextId, Query, RunReport, Runner};
@@ -515,7 +514,11 @@ impl ServeHost {
             }
         };
         report.publish(&self.runner_registry);
-        publish_report_record(&report);
+        let ledger = uarch_obs::ledger::global();
+        ledger.append(&LedgerRecord::Report(
+            report.to_record(ledger.next_run_id()),
+        ));
+        let _ = ledger.flush();
         self.queries_answered.add(queries.len() as u64);
         let wall_us = start.elapsed().as_micros() as u64;
         self.query_us.record(wall_us);
@@ -540,29 +543,19 @@ impl ServeHost {
             confidence.join(","),
             report.to_json(),
         );
-        if let Some(ctx) = uarch_obs::causal::current() {
-            let trace_id = ctx.trace_hex();
-            let receipt = Receipt {
-                trace_id: trace_id.clone(),
-                endpoint: "query",
-                wall_us,
-                queries: queries.len() as u64,
-                backend: backend.as_str(),
-                rungs: rungs.join(","),
-                confidence: min_confidence,
-                sims_run: report.sims_run,
-                cache_hits: report.cache_hits,
-                disk_hits: report.disk_hits,
-                deduped: report.jobs_deduped,
-                skipped_cycles: report.engine.skipped_cycles,
-                response_bytes: body.len() as u64,
-            };
-            self.receipts.record(receipt.clone());
+        let receipt = Receipt {
+            queries: queries.len() as u64,
+            backend: backend.as_str(),
+            rungs: rungs.join(","),
+            confidence: min_confidence,
+            report,
+            ..Receipt::new("query", wall_us)
+        };
+        if let Some(trace_id) = self.finish_receipt(receipt, &mut body) {
             *self
                 .query_exemplar
                 .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some((wall_us, trace_id.clone()));
-            splice_trace(&mut body, &trace_id, &receipt);
+                .unwrap_or_else(|e| e.into_inner()) = Some((wall_us, trace_id));
         }
         Ok(body)
     }
@@ -644,27 +637,19 @@ impl ServeHost {
     /// (`ingest`, `explain`) and splice `trace_id` + `receipt` into its
     /// JSON response. No-op without an installed causal context.
     pub fn finish_traced(&self, endpoint: &'static str, wall_us: u64, body: &mut String) {
-        let Some(ctx) = uarch_obs::causal::current() else {
-            return;
-        };
-        let trace_id = ctx.trace_hex();
-        let receipt = Receipt {
-            trace_id: trace_id.clone(),
-            endpoint,
-            wall_us,
-            queries: 0,
-            backend: "",
-            rungs: String::new(),
-            confidence: 1.0,
-            sims_run: 0,
-            cache_hits: 0,
-            disk_hits: 0,
-            deduped: 0,
-            skipped_cycles: 0,
-            response_bytes: body.len() as u64,
-        };
-        self.receipts.record(receipt.clone());
-        splice_trace(body, &trace_id, &receipt);
+        self.finish_receipt(Receipt::new(endpoint, wall_us), body);
+    }
+
+    /// Stamp `receipt` with the current trace id and the response size,
+    /// record it and splice it into `body`; returns the trace id (`None`
+    /// without an installed causal context).
+    fn finish_receipt(&self, mut receipt: Receipt, body: &mut String) -> Option<String> {
+        let trace_id = uarch_obs::causal::current()?.trace_hex();
+        receipt.trace_id = trace_id.clone();
+        receipt.response_bytes = body.len() as u64;
+        splice_trace(body, &receipt);
+        self.receipts.record(receipt);
+        Some(trace_id)
     }
 
     /// The `GET /trace/<id>` body: the request's cost receipt (or
@@ -711,21 +696,18 @@ impl ServeHost {
         Some(uarch_obs::Profile::from_events(&tracer.events_since(since)).render())
     }
 
-    /// Evaluate a batch on the dependence-graph kernel, folding the
-    /// short-lived oracle's `graph.*` counters into the aggregate
-    /// registry (this is [`Runner::run_graph`] plus counter retention).
-    fn run_graph_batch(&self, queries: &[Query]) -> (Vec<i64>, uarch_runner::RunReport) {
-        let mut oracle =
-            self.runner
-                .graph_oracle_for(&self.graph, self.graph_context(), self.graph_baseline());
-        let wanted: Vec<EventSet> = queries.iter().flat_map(Query::required_sets).collect();
-        oracle.prefetch(&wanted);
-        let answers = queries.iter().map(|q| q.answer(&mut oracle)).collect();
-        let report = oracle.report().clone();
-        let inner = oracle.into_inner();
+    /// Evaluate a batch on the dependence-graph kernel
+    /// ([`Runner::run_graph_for`]), folding its `graph.*` counters into
+    /// the aggregate registry.
+    fn run_graph_batch(&self, queries: &[Query]) -> (Vec<i64>, RunReport) {
+        let (answers, report, kernel) = self.runner.run_graph_for(
+            &self.graph,
+            self.graph_context(),
+            self.graph_baseline(),
+            queries,
+        );
         self.graph_registry
-            .absorb_scalars(&inner.metrics().snapshot());
-        let _ = uarch_obs::ledger::global().flush();
+            .absorb_scalars(&kernel.metrics().snapshot());
         (answers, report)
     }
 }
@@ -789,43 +771,17 @@ fn parse_explain_body(text: &str) -> Result<Option<(u64, u64)>, String> {
     }
 }
 
-/// Append one answered batch's [`RunReport`] to the global ledger as a
-/// `report` record (and flush), so the run summary every batch already
-/// computes reaches `GET /events` subscribers and post-mortem ledger
-/// readers — not just the aggregate `/metrics` counters.
-fn publish_report_record(report: &RunReport) {
-    let ledger = uarch_obs::ledger::global();
-    ledger.append(&LedgerRecord::Report(ReportRecord {
-        run: ledger.next_run_id(),
-        queries: report.queries,
-        jobs: report.jobs_requested,
-        deduped: report.jobs_deduped,
-        cache_hits: report.cache_hits,
-        disk_hits: report.disk_hits,
-        sims_run: report.sims_run,
-        cycles: report.cycles_simulated,
-        insts: report.insts_simulated,
-        threads: report.threads as u64,
-        expand_us: report.expand_wall.as_micros() as u64,
-        sim_us: report.sim_wall.as_micros() as u64,
-        skipped: report.engine.skipped_cycles,
-        // Stamped by Ledger::append from the causal context.
-        trace: String::new(),
-    }));
-    let _ = ledger.flush();
-}
-
 /// Splice `,"trace_id":"...","receipt":{...}` into a response body
 /// that ends with `}\n` (every handler's JSON object does); bodies in
 /// any other shape are left alone.
-fn splice_trace(body: &mut String, trace_id: &str, receipt: &Receipt) {
+fn splice_trace(body: &mut String, receipt: &Receipt) {
     if !body.ends_with("}\n") {
         return;
     }
     body.truncate(body.len() - 2);
     body.push_str(&format!(
         ",\"trace_id\":{},\"receipt\":{}}}\n",
-        json::quote(trace_id),
+        json::quote(&receipt.trace_id),
         receipt.to_json(),
     ));
 }
@@ -900,6 +856,70 @@ mod tests {
         let (_, backend) =
             parse_query_body(r#"{"backend":"auto","queries":[{"cost":"dmiss"}]}"#).expect("ok");
         assert_eq!(backend, Backend::Auto);
+    }
+
+    #[test]
+    fn graph_kernel_evaluations_are_not_billed_as_simulations() {
+        let w = uarch_workloads::generate(
+            uarch_workloads::BenchProfile::by_name("mcf").expect("profile"),
+            2_000,
+            2003,
+        );
+        let insts = w.trace.len() as u64;
+        let ctx = ServeContext::new(w.name, MachineConfig::table6(), w.trace);
+        // One worker: every simulation context is prepared on this thread.
+        let host = ServeHost::new(Runner::new().with_threads(1), ctx);
+        let counter = |body: &str, name: &str| -> u64 {
+            let doc = json::parse(body).expect("response is JSON");
+            let counters = doc.get("report").and_then(|r| r.get("counters"));
+            counters
+                .and_then(|c| c.get(name))
+                .and_then(Value::as_num)
+                .unwrap_or(0.0) as u64
+        };
+
+        // An uncalibrated auto batch escalates both queries: its graph
+        // rung sweeps {dmiss, win, dmiss+win} through the kernel and its
+        // sim rung simulates {∅, dmiss, win, dmiss+win}. Only the latter
+        // are simulations.
+        let auto = host
+            .handle_query(
+                br#"{"backend":"auto","queries":[{"cost":"dmiss"},{"icost":"dmiss+win"}]}"#,
+            )
+            .expect("auto batch");
+        let sims = counter(&auto, "runner.sims_run");
+        assert_eq!(sims, 4, "{auto}");
+        assert_eq!(counter(&auto, "runner.insts_simulated"), sims * insts);
+        let metrics = host.render_metrics();
+        assert!(
+            metrics.contains("plan_graph_evals{registry=\"plan\"} 3\n"),
+            "the graph rung's kernel work is counted as graph evaluations:\n{metrics}"
+        );
+
+        // A cold graph batch sweeps the kernel and simulates nothing.
+        let prepared = uarch_sim::contexts_prepared();
+        let graph = host
+            .handle_query(
+                br#"{"backend":"graph","queries":[{"cost":"bmisp"},{"icost":"dl1+imiss"}]}"#,
+            )
+            .expect("graph batch");
+        assert_eq!(
+            uarch_sim::contexts_prepared(),
+            prepared,
+            "no simulation context"
+        );
+        for name in [
+            "runner.sims_run",
+            "runner.cycles_simulated",
+            "runner.insts_simulated",
+        ] {
+            assert_eq!(counter(&graph, name), 0, "{name}: {graph}");
+        }
+        let metrics = host.render_metrics();
+        assert!(
+            metrics.contains("graph_batch_evaluated{registry=\"graph\"} 4\n"),
+            "{{bmisp, dl1, imiss, dl1+imiss}} are counted where the kernel sweeps them:\n{metrics}"
+        );
     }
 
     #[test]
